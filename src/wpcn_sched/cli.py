@@ -301,9 +301,9 @@ def _cmd_gen(args) -> int:
     instance = sample(config)
     payload = instance_to_dict(instance)
     payload["provenance"] = {"generator": RNG_NAME, "config": config_to_dict(config)}
+    text = json.dumps(payload, indent=2, allow_nan=False)  # no half-written file on error
     with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return 0
 
 
@@ -314,8 +314,7 @@ def _cmd_solve(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad instance file: {exc}") from exc
     result = solve_one(instance, args.problem, args.alg)
-    json.dump(result, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(result, indent=2, allow_nan=False) + "\n")
     return 0
 
 

@@ -1,9 +1,11 @@
 """Small dense linear-program solver: maximize c.x subject to A.x <= b, x >= 0.
 
 A two-phase tableau simplex with Bland's anti-cycling rule. The throughput
-solver produces LPs with at most a couple dozen variables, so a dense
-tableau with explicit tolerances beats pulling in an external solver: the
-pivot path is deterministic and every numerical failure is surfaced.
+solver's LPs have one row per user plus the frame budget (2 to about 100
+rows), so a dense tableau with explicit tolerances beats pulling in an
+external solver: the pivot path is deterministic and every numerical failure
+is surfaced. Each pivot's row work (the masked rank-1 elimination, Bland's
+entering scan, the minimum-ratio test and its ties) is numpy array operations.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ class LpSolution:
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    rows = tableau[:, col] != 0.0   # rows with nothing to eliminate are left untouched
+    rows[row] = False
+    rows = rows.nonzero()[0]        # indexed twice below, where indices beat a mask
+    tableau[rows] -= tableau[rows, col, None] * tableau[row]
     basis[row] = col
 
 
@@ -77,17 +80,15 @@ def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None
     unbounded, so we refuse to guess.
     """
     column = tableau[:, col]
-    rhs = tableau[:, -1]
-    candidates = [r for r in range(tableau.shape[0]) if column[r] > PIVOT_TOL]
-    if not candidates:
+    candidates = (column > PIVOT_TOL).nonzero()[0]
+    if not candidates.size:
         if np.any(column > 0.0):
             raise NumericalBreakdown(
                 f"entering column {col}: only pivots below {PIVOT_TOL} available")
         return None
-    ratios = {r: rhs[r] / column[r] for r in candidates}
-    best = min(ratios.values())
-    tied = [r for r in candidates if ratios[r] <= best + _RATIO_TIE_TOL]
-    return min(tied, key=lambda r: basis[r])
+    ratios = tableau[candidates, -1] / column[candidates]
+    tied = candidates[ratios <= ratios.min() + _RATIO_TIE_TOL]
+    return int(tied[basis[tied].argmin()])
 
 
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray,
@@ -95,13 +96,10 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray,
     """Pivot until optimal (returns True) or unbounded (returns False)."""
     for _ in range(_MAX_ITERATIONS):
         reduced = costs - costs[basis] @ tableau[:, :-1]
-        entering = -1
-        for j in range(reduced.size):  # Bland: smallest improving index
-            if enterable[j] and reduced[j] > FEASIBILITY_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = (enterable & (reduced > FEASIBILITY_TOL)).nonzero()[0]
+        if not improving.size:
             return True
+        entering = int(improving[0])  # Bland: smallest improving index
         leaving = _leaving_row(tableau, basis, entering)
         if leaving is None:
             return False
@@ -153,13 +151,9 @@ def solve(problem: LpProblem) -> LpSolution:
         keep = np.ones(m, dtype=bool)
         for r in range(m):
             if basis[r] >= n + m:
-                pivot_col = -1
-                for j in range(n + m):
-                    if abs(tableau[r, j]) > PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tableau, basis, r, pivot_col)
+                usable = (np.abs(tableau[r, :n + m]) > PIVOT_TOL).nonzero()[0]
+                if usable.size:
+                    _pivot(tableau, basis, r, int(usable[0]))
                 else:
                     keep[r] = False
         tableau = np.hstack([tableau[keep, :n + m], tableau[keep, -1:]])

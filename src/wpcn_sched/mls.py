@@ -13,9 +13,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import NetworkInstance, Schedule, Slot, TooLarge, s_min, tau_min
-
-BRUTE_FORCE_LIMIT = 8  # factorial growth; hard cap for the permutation oracle
+from .model import (
+    BRUTE_FORCE_LIMIT,
+    NetworkInstance,
+    Schedule,
+    Slot,
+    TooLarge,
+    check_order,
+    s_min,
+    tau_min,
+)
 
 
 @dataclass(frozen=True)
@@ -24,11 +31,6 @@ class MlsSolution:
 
     schedule: Schedule
     length: float
-
-
-def _check_order(order: Sequence[int], n: int) -> None:
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order {order!r} is not a permutation of 1..{n}")
 
 
 def fixed_order_mls(instance: NetworkInstance, order: Sequence[int]) -> MlsSolution:
@@ -42,7 +44,7 @@ def fixed_order_mls(instance: NetworkInstance, order: Sequence[int]) -> MlsSolut
     Raises:
         Infeasible: some user can never transmit (propagated from s_min).
     """
-    _check_order(order, instance.n_users)
+    check_order(order, instance.n_users)
     params = instance.params
     durations = [tau_min(params, instance.user(i)) for i in order]
     starts_min = [s_min(params, instance.user(i)) for i in order]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 # Replay tolerances: double precision accumulated over at most N+1 slots.
 ENERGY_TOL = 1e-12   # joules
@@ -28,6 +29,25 @@ class MalformedSchedule(ValueError):
 
 class TooLarge(ValueError):
     """Instance exceeds the hard size limit of an exhaustive solver."""
+
+
+BRUTE_FORCE_LIMIT = 8  # factorial growth; hard cap for the permutation oracles
+
+
+def check_order(order: Sequence[int], n: int) -> None:
+    """Raise ValueError unless ``order`` is a permutation of 1..n."""
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"order {order!r} is not a permutation of 1..{n}")
+
+
+def require_finite(obj) -> None:
+    """Raise ValueError if any float field of dataclass ``obj`` is NaN or infinite."""
+    # Not dataclasses.fields (slower) nor vars() (materializing __dict__ slows
+    # every later attribute read of the hot model objects).
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +71,7 @@ class SystemParams:
     eh_threshold: float = 0.014      # harvester turn-on threshold [W]
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not (self.p_h > 0 and self.p_max > 0 and self.bandwidth > 0):
             raise ValueError("p_h, p_max and bandwidth must be positive")
         if self.noise_density < 0 or self.self_interference < 0:
@@ -78,6 +99,7 @@ class UserProfile:
     eh_threshold: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not (self.uplink_gain > 0 and self.downlink_gain > 0):
             raise ValueError("channel gains must be positive")
         if self.initial_energy < 0:

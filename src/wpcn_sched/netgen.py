@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import NetworkInstance, SystemParams, UserProfile, params_to_dict
+from .model import NetworkInstance, SystemParams, UserProfile, params_to_dict, require_finite
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng; pinned by golden tests
 
@@ -65,6 +65,7 @@ class GenConfig:
     min_distance: float = 0.0     # inner placement radius [m]
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if not (self.radius > 0 and self.ref_distance > 0):

@@ -17,16 +17,17 @@ import numpy as np
 
 from . import lp
 from .model import (
+    BRUTE_FORCE_LIMIT,
     NetworkInstance,
     Schedule,
     Slot,
     TooLarge,
+    check_order,
     harvest_rate,
     rate,
 )
 
 FRAME_LENGTH = 1.0  # normalized frame; throughput scales linearly with it
-BRUTE_FORCE_LIMIT = 8
 
 
 class LpFailure(RuntimeError):
@@ -126,9 +127,9 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int]) -> StmSolut
             allocation is always feasible, so this indicates a solver
             problem and is never absorbed).
     """
-    if sorted(order) != list(range(1, instance.n_users + 1)):
-        raise ValueError(f"order {order!r} is not a permutation of 1..{instance.n_users}")
-    solution = lp.solve(throughput_lp(instance, order))
+    check_order(order, instance.n_users)
+    problem = throughput_lp(instance, order)
+    solution = lp.solve(problem)
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise LpFailure(f"time-allocation LP came back {solution.status.value}")
 
@@ -136,7 +137,7 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int]) -> StmSolut
     tau0 = max(0.0, float(x[0]))
     durations = [max(0.0, float(v)) for v in x[1:]]
     slots = _layout(tau0, list(zip(order, durations)))
-    rates = {i: rate(instance.params, instance.users[i - 1]) for i in order}
+    rates = dict(zip(order, problem.objective[1:].tolist()))  # the LP's per-slot rates
     throughput = sum(s.duration * rates[s.user] for s in slots)
     scheduled = tuple(sorted(s.user for s in slots))
     return StmSolution(schedule=Schedule(tau0=tau0, slots=tuple(slots)),

@@ -246,6 +246,54 @@ class TestExitCodes:
         assert "infeasible" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    """NaN and Infinity parse as JSON numbers; they must end as exit code 2.
+
+    A return value from ``main`` (rather than an escaping exception) is what
+    rules out a traceback.
+    """
+
+    @pytest.mark.parametrize("problem,alg",
+                             [("mls", "mlsa"), ("stm", "mrsa"), ("stm", "opt")])
+    @pytest.mark.parametrize("section,key,bad", [
+        ("users", "uplink_gain", float("inf")),
+        ("users", "initial_energy", float("nan")),
+        ("params", "p_h", float("inf")),
+        ("params", "noise_density", float("nan")),
+    ])
+    def test_solve_rejects(self, tmp_path, capsys, problem, alg, section, key, bad):
+        payload = json.loads((DATA / "golden_instance.json").read_text())
+        target = payload["users"][0] if section == "users" else payload["params"]
+        target[key] = bad
+        instance_path = write_json(tmp_path / "instance.json", payload)
+        code = main(["solve", "--instance", instance_path,
+                     "--problem", problem, "--alg", alg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{key} must be finite" in captured.err
+
+    @pytest.mark.parametrize("override", [
+        {"radius": float("inf")},
+        {"battery_max": float("nan")},
+        {"system": {"p_h": 1.0, "p_max": float("-inf")}},
+    ])
+    def test_gen_rejects(self, tmp_path, capsys, override):
+        config_path = write_json(tmp_path / "gen.json", base_gen_dict(**override))
+        out = tmp_path / "instance.json"
+        assert main(["gen", "--config", config_path, "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects(self, tmp_path, capsys):
+        spec_path = write_json(tmp_path / "spec.json",
+                               base_spec_dict(gen=base_gen_dict(ref_loss_db=float("nan"))))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
+        assert "ref_loss_db must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestInfeasibleCounting:
     def test_infeasible_trials_reported_not_dropped(self, monkeypatch):
         from wpcn_sched import cli as cli_module

@@ -107,6 +107,23 @@ class TestHandCases:
                                  problem.rhs)
         assert abs(solution.objective_value - oracle) < 1e-9
 
+    def test_ratio_tie_goes_to_smallest_basic_variable(self):
+        # Pivots: x0 enters row 2, x1 enters row 1, then x3 ties rows 0 and
+        # 2 at ratio 1. Row 0 holds slack 4 and row 2 holds x0, so Bland's
+        # rule pivots on row 2; taking the smaller row index instead ends on
+        # the other optimal vertex, (0, 2, 2, 0).
+        problem = lp([2.0, 2.0, 0.0, 1.0],
+                     [[0.0, -1.0, 1.0, 1.0],
+                      [2.0, 1.0, 0.0, 1.0],
+                      [1.0, -1.0, -1.0, 1.0]],
+                     [0.0, 2.0, 0.0])
+        solution = solve(problem)
+        assert solution.status is LpStatus.OPTIMAL
+        assert np.allclose(solution.x, [0.0, 2.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix,
+                                 problem.rhs)
+        assert abs(solution.objective_value - oracle) < 1e-9
+
     def test_tiny_pivot_surfaces_breakdown(self):
         with pytest.raises(NumericalBreakdown):
             solve(lp([1.0], [[1e-13]], [1.0]))

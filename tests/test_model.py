@@ -1,5 +1,6 @@
 """Closed-form physical-layer math and schedule replay checks."""
 
+import dataclasses
 import math
 
 import pytest
@@ -75,6 +76,14 @@ class TestTypes:
             UserProfile(uplink_gain=1.0, downlink_gain=1.0, initial_energy=-1.0)
         with pytest.raises(ValueError):
             UserProfile(uplink_gain=1.0, downlink_gain=1.0, demand_bits=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_float_field_must_be_finite(self, bad):
+        for valid in (make_params(),
+                      make_user(initial_energy=1.0, eh_slope=99.0, eh_threshold=0.02)):
+            for field in dataclasses.fields(valid):
+                with pytest.raises(ValueError, match=f"{field.name} must be finite"):
+                    dataclasses.replace(valid, **{field.name: bad})
 
     def test_instance_needs_users(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Random network generator: path loss values, distributions, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,16 @@ class TestConfig:
             base_config(battery_max=-1.0)
         with pytest.raises(ValueError):
             base_config(min_distance=10.0)  # must be < radius
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_float_field_must_be_finite(self, bad):
+        valid = base_config()
+        floats = [f.name for f in dataclasses.fields(valid)
+                  if isinstance(getattr(valid, f.name), float)]
+        assert "radius" in floats and "battery_max" in floats
+        for name in floats:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                dataclasses.replace(valid, **{name: bad})
 
     def test_roundtrip(self):
         config = base_config(battery_max=0.5, fading=False, min_distance=1.0)

@@ -1,5 +1,8 @@
 """Sum-throughput maximization: heuristic, fixed-order LP, order oracle."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,8 @@ from wpcn_sched.stm import LpFailure, throughput_lp
 from helpers import random_instance, vertex_enum_max
 
 SATURATING_GAIN = 1e9
+GOLDEN_FIXED_ORDER = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "golden_fixed_order.json").read_text())
 
 
 def single_user_instance(p_max, harvest, battery):
@@ -131,6 +136,44 @@ class TestFixedOrder:
                             lambda problem: LpSolution(status=LpStatus.UNBOUNDED))
         with pytest.raises(LpFailure):
             fixed_order_stm(instance, [1, 2])
+
+
+def golden_case(case):
+    """The case's instance and slot order: index order, or max-rate-first as
+    mrsa lays slots out (ascending rate, ties by descending index)."""
+    n = case["n_users"]
+    instance = random_instance(seed=case["seed"], n_users=n,
+                               battery_max=case["battery_max"])
+    if case["order"] == "index":
+        return instance, list(range(1, n + 1))
+    rates = [rate(instance.params, u) for u in instance.users]
+    return instance, sorted(range(1, n + 1), key=lambda i: (rates[i - 1], -i))
+
+
+class TestFixedOrderGolden:
+    """Recorded allocations at N=25 and N=100 (tests/data): the simplex's
+    pivot path decides every slot, so a change to it shows here."""
+
+    @pytest.mark.parametrize("case", GOLDEN_FIXED_ORDER,
+                             ids=lambda c: f"n{c['n_users']}-{c['order']}")
+    def test_allocation_matches_golden(self, case):
+        instance, order = golden_case(case)
+        solution = fixed_order_stm(instance, order)
+        assert type(solution.throughput) is float
+        assert [s.user for s in solution.schedule.slots] == [u for u, _ in case["slots"]]
+        assert solution.schedule.tau0 == pytest.approx(case["tau0"], rel=1e-12)
+        assert [s.duration for s in solution.schedule.slots] == pytest.approx(
+            [d for _, d in case["slots"]], rel=1e-12)
+        assert solution.throughput == pytest.approx(case["throughput"], rel=1e-12)
+
+    @pytest.mark.parametrize("case", [c for c in GOLDEN_FIXED_ORDER
+                                      if c["order"] == "max-rate-first"],
+                             ids=lambda c: f"n{c['n_users']}")
+    def test_max_rate_first_lp_dominates_mrsa(self, case):
+        instance, order = golden_case(case)
+        solution = fixed_order_stm(instance, order)
+        assert solution.throughput >= mrsa(instance).throughput * (1 - 1e-9)
+        assert validate(instance, solution.schedule).ok
 
 
 class TestBruteForce:
