@@ -4,9 +4,12 @@ A two-phase tableau simplex with Bland's anti-cycling rule. The throughput
 solver's LPs have one row per user plus the frame budget (2 to about 100
 rows), so a dense tableau with explicit tolerances beats pulling in an
 external solver: the pivot path is deterministic and every numerical failure
-is surfaced. Each pivot's row work (the masked rank-1 elimination, Bland's
-entering scan, the minimum-ratio test and its ties) is numpy array operations.
-"""
+is surfaced. The reduced costs live in the tableau's last row, which each
+pivot updates with the same rank-1 elimination as every other row, so they
+are priced from scratch only at the start of a phase. Phase 1 ends by
+driving zero-valued artificials out of the basis; every row has its own
+slack column, so a pivot for that exists, and its absence is a
+NumericalBreakdown, never a dropped row."""
 
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9
 PIVOT_TOL = 1e-11
 _RATIO_TIE_TOL = 1e-12   # degenerate min-ratio ties resolved by Bland's rule
+_RESIDUE_TOL = 1e-14     # relative to a column's scale: round-off, not a pivot
 _MAX_ITERATIONS = 100_000  # Bland's rule terminates; guard against bugs
 
 
@@ -48,7 +52,7 @@ class LpProblem:
         if a.shape != (b.size, c.size):
             raise ValueError(
                 f"inconsistent dimensions: A is {a.shape}, c has {c.size}, b has {b.size}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("all entries must be finite")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", a)
@@ -63,11 +67,11 @@ class LpSolution:
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    rows = tableau[:, col] != 0.0   # rows with nothing to eliminate are left untouched
-    rows[row] = False
-    rows = rows.nonzero()[0]        # indexed twice below, where indices beat a mask
-    tableau[rows] -= tableau[rows, col, None] * tableau[row]
+    pivot_row = tableau[row] / tableau[row, col]
+    # Rows with a zero in the pivot column subtract an exact zero, which can
+    # only flip the sign of a zero; that beats selecting the rows to update.
+    tableau -= np.multiply.outer(tableau[:, col], pivot_row)
+    tableau[row] = pivot_row
     basis[row] = col
 
 
@@ -76,30 +80,38 @@ def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None
     variable index (Bland). ``None`` means the column is unbounded.
 
     Rows whose pivot element is positive but below PIVOT_TOL are never
-    eligible; if only such rows exist the problem cannot be told apart from
-    unbounded, so we refuse to guess.
+    eligible. If only such rows exist, entries of at most _RESIDUE_TOL times
+    the column's largest magnitude are round-off left by earlier pivots (a
+    zero in exact arithmetic), so the column is unbounded; any larger one may
+    be a genuine tiny pivot, and we refuse to guess.
     """
-    column = tableau[:, col]
+    column = tableau[:-1, col]
     candidates = (column > PIVOT_TOL).nonzero()[0]
     if not candidates.size:
-        if np.any(column > 0.0):
+        if (column > _RESIDUE_TOL * np.abs(column).max(initial=0.0)).any():
             raise NumericalBreakdown(
                 f"entering column {col}: only pivots below {PIVOT_TOL} available")
         return None
     ratios = tableau[candidates, -1] / column[candidates]
-    tied = candidates[ratios <= ratios.min() + _RATIO_TIE_TOL]
+    # ratios[argmin] is ratios.min() without its Python-level wrapper
+    tied = candidates[ratios <= ratios[ratios.argmin()] + _RATIO_TIE_TOL]
+    if tied.size == 1:
+        return int(tied[0])
     return int(tied[basis[tied].argmin()])
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray,
-                 enterable: np.ndarray) -> bool:
-    """Pivot until optimal (returns True) or unbounded (returns False)."""
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enterable: int) -> bool:
+    """Pivot until optimal (returns True) or unbounded (returns False).
+
+    The objective row must hold the reduced costs of the current basis;
+    only the first ``n_enterable`` columns may enter.
+    """
+    reduced = tableau[-1, :n_enterable]   # a view: each pivot updates it
     for _ in range(_MAX_ITERATIONS):
-        reduced = costs - costs[basis] @ tableau[:, :-1]
-        improving = (enterable & (reduced > FEASIBILITY_TOL)).nonzero()[0]
-        if not improving.size:
+        improving = reduced > FEASIBILITY_TOL
+        entering = int(improving.argmax())  # Bland: smallest improving index
+        if not improving[entering]:
             return True
-        entering = int(improving[0])  # Bland: smallest improving index
         leaving = _leaving_row(tableau, basis, entering)
         if leaving is None:
             return False
@@ -123,49 +135,48 @@ def solve(problem: LpProblem) -> LpSolution:
     m, n = a.shape
 
     # Rows with negative rhs are negated (flipping their slack sign) and get
-    # an artificial variable, so the initial basis is always feasible.
-    negative = b < 0.0
-    art_rows = np.where(negative)[0]
+    # an artificial variable, so the initial basis is always feasible. The
+    # last row is the objective row.
+    art_rows = (b < 0.0).nonzero()[0]
     n_art = art_rows.size
     width = n + m + n_art + 1
-    tableau = np.zeros((m, width))
-    tableau[:, :n] = np.where(negative[:, None], -a, a)
-    tableau[np.arange(m), n + np.arange(m)] = np.where(negative, -1.0, 1.0)
-    tableau[art_rows, n + m + np.arange(n_art)] = 1.0
-    tableau[:, -1] = np.abs(b)
-
+    tableau = np.zeros((m + 1, width))
+    tableau[:m, :n] = a
+    tableau.ravel()[n:m * width:width + 1] = 1.0   # slack r sits in column n + r
+    tableau[:m, -1] = np.abs(b)
     basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(n_art)
 
     if n_art:
+        tableau[art_rows, :-1] *= -1.0
+        tableau[art_rows, n + m + np.arange(n_art)] = 1.0
+        basis[art_rows] = n + m + np.arange(n_art)
         phase1_costs = np.zeros(width - 1)
         phase1_costs[n + m:] = -1.0  # maximize -(sum of artificials)
-        enterable = np.ones(width - 1, dtype=bool)
-        enterable[n + m:] = False    # artificials may only leave
-        bounded = _run_simplex(tableau, basis, phase1_costs, enterable)
+        tableau[-1, :-1] = phase1_costs - phase1_costs[basis] @ tableau[:-1, :-1]
+        bounded = _run_simplex(tableau, basis, n + m)  # artificials may only leave
         assert bounded, "phase 1 objective is bounded by construction"
-        if float(phase1_costs[basis] @ tableau[:, -1]) < -FEASIBILITY_TOL:
+        if float(phase1_costs[basis] @ tableau[:-1, -1]) < -FEASIBILITY_TOL:
             return LpSolution(status=LpStatus.INFEASIBLE)
-        # Drive leftover zero-valued artificials out of the basis; a row
-        # with no usable pivot is a redundant constraint and is dropped.
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= n + m:
-                usable = (np.abs(tableau[r, :n + m]) > PIVOT_TOL).nonzero()[0]
-                if usable.size:
-                    _pivot(tableau, basis, r, int(usable[0]))
-                else:
-                    keep[r] = False
-        tableau = np.hstack([tableau[keep, :n + m], tableau[keep, -1:]])
-        basis = basis[keep]
+        # Drive leftover zero-valued artificials out of the basis. Every row
+        # has its own slack column, so in exact arithmetic a pivot exists.
+        for r in (basis >= n + m).nonzero()[0]:
+            usable = np.abs(tableau[r, :n + m]) > PIVOT_TOL
+            col = int(usable.argmax())
+            if not usable[col]:
+                raise NumericalBreakdown(
+                    f"row {r}: no pivot above {PIVOT_TOL} drives its artificial out")
+            _pivot(tableau, basis, r, col)
+        costs = np.zeros(width - 1)
+        costs[:n] = c
+        tableau[-1, :-1] = costs - costs[basis] @ tableau[:-1, :-1]
+    else:
+        tableau[-1, :n] = c  # the all-slack basis costs nothing: no pricing
 
-    costs = np.concatenate([c, np.zeros(m)])
-    enterable = np.ones(n + m, dtype=bool)
-    if not _run_simplex(tableau, basis, costs, enterable):
+    if not _run_simplex(tableau, basis, n + m):  # artificial columns never enter
         return LpSolution(status=LpStatus.UNBOUNDED)
 
     full = np.zeros(n + m)
-    full[basis] = tableau[:, -1]
+    full[basis] = tableau[:-1, -1]
     x = full[:n]
     return LpSolution(status=LpStatus.OPTIMAL, x=x,
                       objective_value=float(c @ x))

@@ -255,8 +255,17 @@ def harvest_rate(params: SystemParams, user: UserProfile) -> float:
 
 
 def tau_min(params: SystemParams, user: UserProfile) -> float:
-    """Shortest transmission time that fulfills the user's demand, in seconds."""
-    return user.demand_bits / rate(params, user)
+    """Shortest transmission time that fulfills the user's demand, in seconds.
+
+    Raises:
+        Infeasible: the rate is zero (underflowed) or too small for any
+            representable time to carry the demand.
+    """
+    r = rate(params, user)
+    t = user.demand_bits / r if r > 0.0 else math.inf
+    if math.isinf(t):
+        raise Infeasible(f"rate {r!r} bit/s can never carry {user.demand_bits!r} bits")
+    return t
 
 
 def energy_required(params: SystemParams, user: UserProfile) -> float:

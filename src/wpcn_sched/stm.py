@@ -101,21 +101,18 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int]) -> lp.LpProbl
     of its own slot.
     """
     params = instance.params
-    n = instance.n_users
-    c = np.zeros(n + 1)
-    a = np.zeros((n + 1, n + 1))
-    b = np.zeros(n + 1)
+    users = [instance.users[i - 1] for i in order]
+    c = np.array([0.0] + [rate(params, u) for u in users])
+    b = np.array([FRAME_LENGTH] + [u.initial_energy for u in users])
+    harvest = np.array([0.0] + [harvest_rate(params, u) for u in users])
 
-    a[0, :] = 1.0            # tau0 + sum tau_i <= frame
-    b[0] = FRAME_LENGTH
-    for pos, i in enumerate(order):
-        user = instance.users[i - 1]
-        col = pos + 1
-        c[col] = rate(params, user)
-        harvest = harvest_rate(params, user)
-        a[col, :col + 1] = -harvest   # harvested during tau0 and every slot up to its own
-        a[col, col] += params.p_max
-        b[col] = user.initial_energy
+    # Row k >= 1 spends p_max in its own slot and earns what is harvested
+    # during tau0 and every slot up to its own; row 0 is the frame budget
+    # tau0 + sum tau_i <= frame.
+    k = np.arange(c.size)
+    a = np.where(k <= k[:, None], -harvest[:, None], 0.0)
+    a[0] = 1.0
+    a.ravel()[c.size + 1::c.size + 1] += params.p_max   # diagonal below row 0
     return lp.LpProblem(objective=c, constraint_matrix=a, rhs=b)
 
 
@@ -135,7 +132,7 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int]) -> StmSolut
 
     x = solution.x
     tau0 = max(0.0, float(x[0]))
-    durations = [max(0.0, float(v)) for v in x[1:]]
+    durations = [max(0.0, v) for v in x[1:].tolist()]
     slots = _layout(tau0, list(zip(order, durations)))
     rates = dict(zip(order, problem.objective[1:].tolist()))  # the LP's per-slot rates
     throughput = sum(s.duration * rates[s.user] for s in slots)

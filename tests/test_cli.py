@@ -294,6 +294,35 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+class TestUnderflowedRate:
+    """``p_h`` = 1e308 is finite, but the self-interference it adds makes the
+    SNR, and so every rate, underflow to exactly 0."""
+
+    @pytest.fixture
+    def instance_path(self, tmp_path):
+        payload = json.loads((DATA / "golden_instance.json").read_text())
+        payload["params"]["p_h"] = 1e308
+        return write_json(tmp_path / "instance.json", payload)
+
+    @pytest.mark.parametrize("alg", ["mlsa", "pdo", "opt"])
+    def test_mls_is_infeasible(self, instance_path, capsys, alg):
+        code = main(["solve", "--instance", instance_path,
+                     "--problem", "mls", "--alg", alg])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "infeasible: rate 0.0 bit/s" in captured.err
+
+    @pytest.mark.parametrize("alg", ["mrsa", "opt"])
+    def test_stm_carries_nothing(self, instance_path, capsys, alg):
+        code = main(["solve", "--instance", instance_path,
+                     "--problem", "stm", "--alg", alg])
+        result = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert result["throughput"] == 0.0
+        assert result["feasibility"]["ok"] is True
+
+
 class TestInfeasibleCounting:
     def test_infeasible_trials_reported_not_dropped(self, monkeypatch):
         from wpcn_sched import cli as cli_module

@@ -124,6 +124,21 @@ class TestHandCases:
                                  problem.rhs)
         assert abs(solution.objective_value - oracle) < 1e-9
 
+    def test_round_off_residue_is_not_a_pivot(self):
+        # maximize 2y + z  s.t.  -x + y + z <= 2, 2y - z <= 0, x - z <= 2.
+        # After three pivots the entering column holds a 1.1e-16 round-off
+        # residue where exact arithmetic has 0; it must not pass for a tiny
+        # pivot. The ray (1, 0, 1) from x = 0 proves the LP unbounded.
+        problem = lp([0.0, 2.0, 1.0],
+                     [[-1.0, 1.0, 1.0],
+                      [0.0, 2.0, -1.0],
+                      [1.0, 0.0, -1.0]],
+                     [2.0, 0.0, 2.0])
+        ray = np.array([1.0, 0.0, 1.0])
+        assert np.all(problem.constraint_matrix @ ray <= 0.0)
+        assert problem.objective @ ray > 0.0
+        assert solve(problem).status is LpStatus.UNBOUNDED
+
     def test_tiny_pivot_surfaces_breakdown(self):
         with pytest.raises(NumericalBreakdown):
             solve(lp([1.0], [[1e-13]], [1.0]))

@@ -192,6 +192,20 @@ class TestPerUserQuantities:
         assert tau_min(params, user) == 5e-5  # 100 bits at 2e6 bits/s
         assert energy_required(params, user) == 5e-5
 
+    def test_tau_min_zero_rate_infeasible(self):
+        params = make_params(p_h=1e308)   # self-interference swamps the SNR
+        user = make_user()
+        assert rate(params, user) == 0.0
+        with pytest.raises(Infeasible):
+            tau_min(params, user)
+
+    def test_tau_min_overflow_infeasible(self):
+        params = make_params(bandwidth=1e-300)
+        user = make_user(demand_bits=1e300)   # 1e300 bits at ~1.6e-300 bit/s
+        assert rate(params, user) > 0.0
+        with pytest.raises(Infeasible):
+            tau_min(params, user)
+
     def test_energy_is_time_times_power(self):
         params = exact_params(p_max=0.1, harvest=2.0)
         user = exact_user(params, tau=1.0, start_min=-1.0)

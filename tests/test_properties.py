@@ -1,0 +1,96 @@
+"""Property-based checks of the simplex and of the throughput LP builder."""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from wpcn_sched import NetworkInstance, SystemParams, UserProfile, harvest_rate, rate
+from wpcn_sched.lp import LpProblem, LpStatus, solve
+from wpcn_sched.stm import FRAME_LENGTH, throughput_lp
+
+from helpers import vertex_enum_max
+
+
+@st.composite
+def small_integer_lps(draw):
+    """LPs with up to 3 variables and 4 rows, small integer data.
+
+    Negative right-hand sides send the solver through phase 1 and make some
+    instances infeasible; a final box row sum(x) <= 3 keeps every feasible
+    instance bounded, so the vertex oracle sees each optimum.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    entries = st.integers(-2, 2)
+    a = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    b = np.array(draw(st.lists(entries, min_size=m, max_size=m)), dtype=float)
+    c = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    return c, np.vstack([a, np.ones((1, n))]), np.append(b, 3.0)
+
+
+@given(small_integer_lps())
+def test_simplex_matches_vertex_enumeration(data):
+    c, a, b = data
+    solution = solve(LpProblem(objective=c, constraint_matrix=a, rhs=b))
+    oracle = vertex_enum_max(c, a, b)
+    if solution.status is LpStatus.OPTIMAL:
+        assert oracle is not None
+        assert abs(solution.objective_value - oracle) < 1e-9
+    else:
+        assert solution.status is LpStatus.INFEASIBLE
+        assert oracle is None
+
+
+def loop_built_lp(instance, order):
+    """The fixed-order LP assembled one row at a time: the reference."""
+    params = instance.params
+    n = instance.n_users
+    c = np.zeros(n + 1)
+    a = np.zeros((n + 1, n + 1))
+    b = np.zeros(n + 1)
+    a[0, :] = 1.0
+    b[0] = FRAME_LENGTH
+    for pos, i in enumerate(order):
+        user = instance.users[i - 1]
+        col = pos + 1
+        c[col] = rate(params, user)
+        a[col, :col + 1] = -harvest_rate(params, user)
+        a[col, col] += params.p_max
+        b[col] = user.initial_energy
+    return c, a, b
+
+
+users = st.one_of(
+    st.builds(UserProfile,
+              uplink_gain=st.floats(1e-12, 1.0),
+              downlink_gain=st.floats(1e-9, 1.0),
+              initial_energy=st.one_of(st.just(0.0), st.floats(0.0, 1e-2))),
+    # At most 0.4 W of input times a 5e-324 slope underflows to 0: the user
+    # harvests exactly nothing, so its row holds -0.0 entries.
+    st.builds(UserProfile,
+              uplink_gain=st.floats(1e-12, 1.0),
+              downlink_gain=st.just(0.04),
+              initial_energy=st.floats(0.0, 1e-2),
+              eh_slope=st.just(5e-324)),
+)
+
+
+@st.composite
+def instances_and_orders(draw):
+    params = SystemParams(p_h=draw(st.floats(0.1, 10.0)),
+                          p_max=draw(st.floats(0.01, 1.0)))
+    n = draw(st.integers(1, 30))
+    instance = NetworkInstance(params=params,
+                               users=tuple(draw(st.lists(users, min_size=n, max_size=n))))
+    return instance, draw(st.permutations(range(1, n + 1)))
+
+
+@given(instances_and_orders())
+def test_throughput_lp_is_the_loop_built_lp_byte_for_byte(data):
+    instance, order = data
+    problem = throughput_lp(instance, order)
+    c, a, b = loop_built_lp(instance, order)
+    assert problem.objective.tobytes() == c.tobytes()
+    assert problem.constraint_matrix.tobytes() == a.tobytes()
+    assert problem.rhs.tobytes() == b.tobytes()
