@@ -13,6 +13,7 @@ from .model import (
     Infeasible,
     MalformedSchedule,
     NetworkInstance,
+    RateOverflow,
     Schedule,
     Slot,
     SystemParams,
@@ -44,6 +45,7 @@ __all__ = [
     "MlsSolution",
     "NetworkInstance",
     "NumericalBreakdown",
+    "RateOverflow",
     "Schedule",
     "Slot",
     "StmSolution",

@@ -5,16 +5,20 @@ Subcommands:
     solve  run one scheduling algorithm on an instance file
     sweep  run a Monte Carlo sweep over an axis and write per-point CSV
 
-Exit codes: 0 success, 2 configuration or parse error, 3 infeasible solve.
+Exit codes: 0 success, 2 configuration or parse error (a rate that
+overflows included), 3 infeasible solve.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
+import shutil
 import sys
 from dataclasses import dataclass
 
@@ -22,6 +26,7 @@ from . import mls, stm
 from .model import (
     Infeasible,
     NetworkInstance,
+    RateOverflow,
     instance_from_dict,
     instance_to_dict,
     schedule_to_dict,
@@ -99,15 +104,22 @@ class SweepSpec:
 
 
 def spec_from_dict(data: dict, trials_override: int | None = None) -> SweepSpec:
-    """Build a SweepSpec; omitted ``values`` fall back to the default grid."""
+    """Build a SweepSpec; omitted ``values`` fall back to the default grid.
+
+    Every axis point's generator config is built here, so a value the
+    model rejects is a ParseError before any trial runs.
+    """
     try:
         gen = config_from_dict(data["gen"])
         axis = data["axis"]
         values = data.get("values", DEFAULT_GRIDS.get(axis, ()))
+        if not isinstance(values, (list, tuple)) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise ValueError(f"values must be a list of numbers, got {values!r}")
         trials = int(data.get("trials", 100))
         if trials_override is not None:
             trials = trials_override
-        return SweepSpec(
+        spec = SweepSpec(
             axis=axis,
             values=tuple(values),
             trials=trials,
@@ -115,6 +127,9 @@ def spec_from_dict(data: dict, trials_override: int | None = None) -> SweepSpec:
             problems=tuple(data.get("problems", PROBLEMS)),
             oracle=bool(data.get("oracle", False)),
         )
+        for value in spec.values:
+            _config_at(gen, axis, value)
+        return spec
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad sweep spec: {exc}") from exc
 
@@ -231,8 +246,35 @@ def _format_cell(value) -> str:
     return f"{value:.12g}"
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Text file handle whose content replaces ``path`` only when the block
+    completes; on any error ``path`` keeps its old content and the temp
+    file beside it is removed. Guards against half-written outputs, not
+    against power loss (no fsync). A symlink is followed, so the file it
+    names is replaced and the link kept, with that file's permissions; a
+    target that is not a regular file (``/dev/null``, a FIFO) is written
+    directly."""
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        with open(real, "w", newline="") as fh:
+            yield fh
+        return
+    tmp = f"{real}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        if os.path.exists(real):
+            shutil.copymode(real, tmp)
+        os.replace(tmp, real)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
@@ -240,7 +282,7 @@ def write_csv(rows: list[dict], path: str) -> None:
 
 
 def write_jsonl(records: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
 
@@ -301,9 +343,8 @@ def _cmd_gen(args) -> int:
     instance = sample(config)
     payload = instance_to_dict(instance)
     payload["provenance"] = {"generator": RNG_NAME, "config": config_to_dict(config)}
-    text = json.dumps(payload, indent=2, allow_nan=False)  # no half-written file on error
-    with open(args.out, "w") as fh:
-        fh.write(text + "\n")
+    with _replacing(args.out) as fh:
+        fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -363,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:  # ParseError included
+    except (ConfigError, RateOverflow) as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Infeasible as exc:

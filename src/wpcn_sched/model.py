@@ -31,6 +31,10 @@ class TooLarge(ValueError):
     """Instance exceeds the hard size limit of an exhaustive solver."""
 
 
+class RateOverflow(ValueError):
+    """A user's rate overflows to infinity: its inputs are out of range."""
+
+
 BRUTE_FORCE_LIMIT = 8  # factorial growth; hard cap for the permutation oracles
 
 
@@ -222,9 +226,19 @@ def snr_coefficient(params: SystemParams, user: UserProfile) -> float:
 
 
 def rate(params: SystemParams, user: UserProfile) -> float:
-    """Shannon rate at the fixed transmit power, in bits/second."""
+    """Shannon rate at the fixed transmit power, in bits/second.
+
+    Raises:
+        RateOverflow: the rate is infinite, e.g. for an uplink gain or a
+            transmit power near the largest double.
+    """
     k = snr_coefficient(params, user)
-    return params.bandwidth * math.log2(1.0 + k * params.p_max)
+    r = params.bandwidth * math.log2(1.0 + k * params.p_max)
+    if math.isinf(r):
+        raise RateOverflow(
+            f"rate overflows for uplink_gain {user.uplink_gain!r}, "
+            f"p_max {params.p_max!r}, bandwidth {params.bandwidth!r}")
+    return r
 
 
 def harvest_curve(input_power: float, saturation: float, slope: float,

@@ -66,6 +66,8 @@ class GenConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if not (self.radius > 0 and self.ref_distance > 0):

@@ -65,8 +65,8 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
     Each gets the largest affordable slice of the still-unallocated time,
     counting the energy it will have harvested by the end of that time, and
     is placed at the back of the remaining frame so that higher-rate users
-    transmit later. Whatever time is left over becomes the leading
-    unallocated interval.
+    transmit later. Users whose rate is zero get no airtime. Whatever time
+    is left over becomes the leading unallocated interval.
     """
     params = instance.params
     rates = [rate(params, u) for u in instance.users]
@@ -76,6 +76,8 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
     remaining = FRAME_LENGTH
     granted: list[tuple[int, float]] = []  # rate-descending order
     for i in order:
+        if rates[i - 1] == 0.0:
+            break  # rate-descending order: nobody left can carry a bit
         user = instance.users[i - 1]
         energy = user.initial_energy + harvest_rate(params, user) * remaining
         tau = min(energy / params.p_max, remaining)
@@ -86,7 +88,7 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
 
     tau0 = remaining
     slots = _layout(tau0, [(i, tau) for i, tau in reversed(granted)])
-    throughput = sum(tau * rates[i - 1] for i, tau in granted)
+    throughput = sum((tau * rates[i - 1] for i, tau in granted), 0.0)
     scheduled = tuple(sorted(i for i, tau in granted if tau > 0.0))
     return StmSolution(schedule=Schedule(tau0=tau0, slots=tuple(slots)),
                        throughput=throughput, scheduled_users=scheduled)

@@ -1,11 +1,15 @@
 """CLI commands, sweep statistics, CSV schema, exit codes, golden files."""
 
 import json
+import os
 import pathlib
+import stat
+import threading
 
 import pytest
 
-from wpcn_sched import instance_from_dict
+from wpcn_sched import instance_from_dict, mrsa, validate
+from wpcn_sched import cli as cli_module
 from wpcn_sched.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -13,6 +17,8 @@ from wpcn_sched.cli import (
     run_sweep,
     solve_one,
     spec_from_dict,
+    write_csv,
+    write_jsonl,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -63,6 +69,20 @@ class TestSpecValidation:
     def test_fractional_user_counts(self):
         with pytest.raises(ConfigError):
             spec_from_dict(base_spec_dict(axis="n_users", values=[2.5]))
+
+    @pytest.mark.parametrize("spec, message", [
+        (base_spec_dict(values=[-1.0]), "p_h, p_max and bandwidth must be positive"),
+        (base_spec_dict(values="abc"), "values must be a list of numbers"),
+        (base_spec_dict(gen=base_gen_dict(seed="x")), "seed must be an integer"),
+        (base_spec_dict(gen=base_gen_dict(seed=True)), "seed must be an integer"),
+    ], ids=["negative-hap-power", "values-not-a-list", "seed-not-an-integer",
+            "seed-is-a-bool"])
+    def test_bad_spec_exits_2(self, tmp_path, capsys, spec, message):
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_grid_when_values_omitted(self):
         data = base_spec_dict(oracle=False)
@@ -313,6 +333,14 @@ class TestUnderflowedRate:
         assert captured.out == ""
         assert "infeasible: rate 0.0 bit/s" in captured.err
 
+    def test_mrsa_schedules_nobody(self, instance_path):
+        instance = instance_from_dict(json.loads(pathlib.Path(instance_path).read_text()))
+        solution = mrsa(instance)
+        assert solution.scheduled_users == ()
+        assert solution.throughput == 0.0
+        assert solution.schedule.slots == ()
+        assert validate(instance, solution.schedule).ok
+
     @pytest.mark.parametrize("alg", ["mrsa", "opt"])
     def test_stm_carries_nothing(self, instance_path, capsys, alg):
         code = main(["solve", "--instance", instance_path,
@@ -321,6 +349,93 @@ class TestUnderflowedRate:
         assert code == 0
         assert result["throughput"] == 0.0
         assert result["feasibility"]["ok"] is True
+
+
+class TestRateOverflow:
+    """An uplink gain or a transmit power near the largest double makes the
+    rate overflow to infinity: a configuration error, never a traceback."""
+
+    @pytest.mark.parametrize("problem, alg", [
+        ("mls", "mlsa"), ("mls", "pdo"), ("mls", "opt"), ("stm", "mrsa"), ("stm", "opt"),
+    ])
+    @pytest.mark.parametrize("section, key", [("params", "p_max"), ("users", "uplink_gain")])
+    def test_solve_exits_2(self, tmp_path, capsys, problem, alg, section, key):
+        payload = json.loads((DATA / "golden_instance.json").read_text())
+        target = payload["users"][1] if section == "users" else payload["params"]
+        target[key] = 1e308
+        instance_path = write_json(tmp_path / "instance.json", payload)
+        code = main(["solve", "--instance", instance_path,
+                     "--problem", problem, "--alg", alg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: rate overflows" in captured.err
+
+    def test_sweep_exits_2(self, tmp_path, capsys):
+        spec_path = write_json(tmp_path / "spec.json",
+                               base_spec_dict(axis="user_power", values=[0.1, 1e308]))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
+        assert "error: rate overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestAtomicWrites:
+    """An error partway through writing leaves the old file and no temp file."""
+
+    @pytest.mark.parametrize("write, bad", [
+        (write_csv, [{col: 1.0 for col in CSV_COLUMNS}, {"axis_value": 2.0}]),
+        (write_jsonl, [{"trial": 0}, {"trial": object()}]),
+    ], ids=["csv", "jsonl"])
+    def test_failed_write_keeps_old_file(self, tmp_path, write, bad):
+        out = tmp_path / "out"
+        out.write_text("old\n")
+        with pytest.raises((KeyError, TypeError)):
+            write(bad, str(out))
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_failed_gen_keeps_old_file(self, tmp_path, monkeypatch):
+        config_path = write_json(tmp_path / "gen.json", base_gen_dict())
+        out = tmp_path / "instance.json"
+        out.write_text("old\n")
+        monkeypatch.setattr(cli_module, "config_to_dict", lambda config: {"x": float("nan")})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            main(["gen", "--config", config_path, "--out", str(out)])
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json", "instance.json"]
+
+    def test_write_replaces_old_file(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_text("old\n")
+        write_jsonl([{"trial": 0}], str(out))
+        assert out.read_text() == '{"trial": 0}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_write_through_symlink_keeps_link_and_mode(self, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target.name)
+        write_jsonl([{"trial": 0}], str(link))
+        assert link.is_symlink()
+        assert target.read_text() == '{"trial": 0}\n'
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "target.jsonl"]
+
+    def test_non_regular_target_is_written_directly(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        write_jsonl([{"trial": 0}], str(fifo))
+        reader.join(timeout=10)
+        assert received == ['{"trial": 0}\n']
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
 
 
 class TestInfeasibleCounting:

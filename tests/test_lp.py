@@ -139,9 +139,36 @@ class TestHandCases:
         assert problem.objective @ ray > 0.0
         assert solve(problem).status is LpStatus.UNBOUNDED
 
+    def test_reduced_cost_at_tolerance_does_not_enter(self):
+        # A reduced cost must exceed FEASIBILITY_TOL to enter; at exactly
+        # the tolerance x stays at its bound.
+        solution = solve(lp([FEASIBILITY_TOL], [[1.0]], [1.0]))
+        assert solution.status is LpStatus.OPTIMAL
+        assert solution.x.tolist() == [0.0]
+        assert solution.objective_value == 0.0
+
     def test_tiny_pivot_surfaces_breakdown(self):
         with pytest.raises(NumericalBreakdown):
             solve(lp([1.0], [[1e-13]], [1.0]))
+
+    @pytest.mark.xfail(strict=True, reason="tolerances are absolute: a column "
+                       "scaled near 1e-14 never enters, so the solver stops at 0")
+    def test_column_far_below_the_tolerances(self):
+        # The best vertex needs x2 near 1e14; its reduced cost stays below
+        # FEASIBILITY_TOL, so the solver reports OPTIMAL at x = 0.
+        problem = lp([2.0, 0.0, 0.0],
+                     [[2.0, -2.0, 0.0],
+                      [1.0, 2.0, -2e-14],
+                      [2.0, 0.0, -1e-14],
+                      [2.0, -1.0, 1e-14],
+                      [2.0, -2.0, 1e-14]],
+                     [0.0, 1.0, 0.0, 1.0, 1.0])
+        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix,
+                                 problem.rhs)
+        assert abs(oracle - 1.2) < 1e-9
+        solution = solve(problem)
+        assert solution.status is LpStatus.OPTIMAL
+        assert abs(solution.objective_value - oracle) < 1e-9
 
 
 class TestOracleEquivalence:

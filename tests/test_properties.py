@@ -1,10 +1,30 @@
-"""Property-based checks of the simplex and of the throughput LP builder."""
+"""Property-based checks of the simplex, the throughput LP builder and the
+schedulers against their exhaustive oracles."""
+
+from unittest import mock
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wpcn_sched import NetworkInstance, SystemParams, UserProfile, harvest_rate, rate
+from wpcn_sched import (
+    GenConfig,
+    Infeasible,
+    NetworkInstance,
+    SystemParams,
+    UserProfile,
+    brute_force_mls,
+    brute_force_stm,
+    harvest_rate,
+    lp,
+    mlsa,
+    mrsa,
+    pdo,
+    rate,
+    sample,
+    validate,
+)
 from wpcn_sched.lp import LpProblem, LpStatus, solve
 from wpcn_sched.stm import FRAME_LENGTH, throughput_lp
 
@@ -40,6 +60,57 @@ def test_simplex_matches_vertex_enumeration(data):
     else:
         assert solution.status is LpStatus.INFEASIBLE
         assert oracle is None
+
+
+@st.composite
+def mixed_lps(draw):
+    """LPs with up to 5 variables and 5 rows for the two selection paths.
+
+    Integer data gives degenerate ratio ties; negative right-hand sides give
+    phase 1 and infeasible LPs; without the optional box row many are
+    unbounded; a column scaled by 1e-12..1e-16 gives tiny pivots, round-off
+    residues and NumericalBreakdown.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    entries = st.integers(-2, 2)
+    a = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    b = np.array(draw(st.lists(entries, min_size=m, max_size=m)), dtype=float)
+    c = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    if draw(st.booleans()):
+        a[:, draw(st.integers(0, n - 1))] *= 10.0 ** -draw(st.integers(12, 16))
+    if draw(st.booleans()):
+        a, b = np.vstack([a, np.ones((1, n))]), np.append(b, 3.0)
+    return c, a, b
+
+
+def solve_outcome(c, a, b, cutoff):
+    """Status, x bytes and objective, or the raised error type."""
+    with mock.patch.object(lp, "FLOAT_SELECTION_MAX_ROWS", cutoff):
+        try:
+            solution = solve(LpProblem(objective=c, constraint_matrix=a, rhs=b))
+        except lp.NumericalBreakdown as exc:
+            return type(exc)
+    x = None if solution.x is None else solution.x.tobytes()
+    return solution.status, x, solution.objective_value
+
+
+# Each hand case of test_lp.py that exercises selection: a Bland ratio tie,
+# a round-off residue in an unbounded column, and a lone tiny pivot.
+@example(([2.0, 2.0, 0.0, 1.0],
+          [[0.0, -1.0, 1.0, 1.0], [2.0, 1.0, 0.0, 1.0], [1.0, -1.0, -1.0, 1.0]],
+          [0.0, 2.0, 0.0]))
+@example(([0.0, 2.0, 1.0],
+          [[-1.0, 1.0, 1.0], [0.0, 2.0, -1.0], [1.0, 0.0, -1.0]],
+          [2.0, 0.0, 2.0]))
+@example(([1.0], [[1e-13]], [1.0]))
+@given(mixed_lps())
+def test_float_and_numpy_selection_take_the_same_path(data):
+    c, a, b = (np.asarray(v, dtype=float) for v in data)
+    on_floats = solve_outcome(c, a, b, cutoff=a.shape[0])
+    on_numpy = solve_outcome(c, a, b, cutoff=a.shape[0] - 1)
+    assert on_floats == on_numpy
 
 
 def loop_built_lp(instance, order):
@@ -94,3 +165,45 @@ def test_throughput_lp_is_the_loop_built_lp_byte_for_byte(data):
     assert problem.objective.tobytes() == c.tobytes()
     assert problem.constraint_matrix.tobytes() == a.tobytes()
     assert problem.rhs.tobytes() == b.tobytes()
+
+
+small_instances = st.builds(
+    GenConfig,
+    n_users=st.sampled_from([4, 3, 2, 1]),
+    seed=st.integers(0, 2**63),
+    system=st.builds(SystemParams, p_h=st.floats(0.1, 10.0), p_max=st.floats(0.01, 1.0)),
+    demand_bits=st.sampled_from([10.0, 100.0, 1000.0]),
+    battery_max=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+    min_distance=st.sampled_from([0.0, 1.0]),
+).map(sample)
+
+
+def mls_or_none(solver, instance):
+    try:
+        return solver(instance)
+    except Infeasible:
+        return None
+
+
+@given(small_instances)
+def test_every_schedule_validates(instance):
+    for solver in (mlsa, pdo, brute_force_mls):
+        solution = mls_or_none(solver, instance)
+        if solution is not None:
+            assert validate(instance, solution.schedule, check_traffic=True).ok
+    for solver in (mrsa, brute_force_stm):
+        assert validate(instance, solver(instance).schedule).ok
+
+
+@given(small_instances)
+def test_mlsa_matches_the_permutation_oracle(instance):
+    greedy = mls_or_none(mlsa, instance)
+    oracle = mls_or_none(brute_force_mls, instance)
+    assert (greedy is None) == (oracle is None)
+    if greedy is not None:
+        assert greedy.length == pytest.approx(oracle.length, rel=1e-9)
+
+
+@given(small_instances)
+def test_mrsa_never_beats_the_order_oracle(instance):
+    assert mrsa(instance).throughput <= brute_force_stm(instance).throughput * (1 + 1e-9)
