@@ -116,16 +116,19 @@ def spec_from_dict(data: dict, trials_override: int | None = None) -> SweepSpec:
         if not isinstance(values, (list, tuple)) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
             raise ValueError(f"values must be a list of numbers, got {values!r}")
-        trials = int(data.get("trials", 100))
-        if trials_override is not None:
-            trials = trials_override
+        trials = data.get("trials", 100)
+        if not isinstance(trials, int) or isinstance(trials, bool):
+            raise ValueError(f"trials must be an integer, got {trials!r}")
+        oracle = data.get("oracle", False)
+        if not isinstance(oracle, bool):
+            raise ValueError(f"oracle must be true or false, got {oracle!r}")
         spec = SweepSpec(
             axis=axis,
             values=tuple(values),
-            trials=trials,
+            trials=trials if trials_override is None else trials_override,
             gen=gen,
             problems=tuple(data.get("problems", PROBLEMS)),
-            oracle=bool(data.get("oracle", False)),
+            oracle=oracle,
         )
         for value in spec.values:
             _config_at(gen, axis, value)
@@ -273,6 +276,17 @@ def _replacing(path: str):
         raise
 
 
+def _check_writable_target(path: str) -> None:
+    """Refuse an output path whose file cannot be made, before any work runs:
+    its directory is missing, or the path names a directory."""
+    real = os.path.realpath(path)
+    if os.path.isdir(real):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(os.path.dirname(real)):
+        raise ConfigError(f"cannot write {path}: directory {os.path.dirname(real)} "
+                          "does not exist")
+
+
 def write_csv(rows: list[dict], path: str) -> None:
     with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -340,6 +354,7 @@ def _cmd_gen(args) -> int:
         config = config_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad generator config: {exc}") from exc
+    _check_writable_target(args.out)
     instance = sample(config)
     payload = instance_to_dict(instance)
     payload["provenance"] = {"generator": RNG_NAME, "config": config_to_dict(config)}
@@ -361,6 +376,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = spec_from_dict(_load_json(args.spec), trials_override=args.trials)
+    for path in (args.out, args.raw):
+        if path:
+            _check_writable_target(path)
     rows, raw = run_sweep(spec)
     write_csv(rows, args.out)
     if args.raw:

@@ -1,15 +1,26 @@
 """Small dense linear-program solver: maximize c.x subject to A.x <= b, x >= 0.
 
-A two-phase tableau simplex with Bland's anti-cycling rule. The throughput
-solver's LPs have one row per user plus the frame budget (2 to about 100
-rows), so a dense tableau with explicit tolerances beats pulling in an
-external solver: the pivot path is deterministic and every numerical failure
-is surfaced. The reduced costs live in the tableau's last row, which each
-pivot updates with the same rank-1 elimination as every other row, so they
-are priced from scratch only at the start of a phase. Phase 1 ends by
-driving zero-valued artificials out of the basis; every row has its own
-slack column, so a pivot for that exists, and its absence is a
-NumericalBreakdown, never a dropped row.
+A problem may name a candidate optimal basis (``LpProblem.start``: one
+structural column per constraint row). ``solve`` first certifies it: it
+solves the square basis system for the vertex and its duals, and returns
+that vertex when it is nonnegative and no nonbasic reduced cost exceeds
+FEASIBILITY_TOL, the simplex's own optimality test. The throughput LPs of
+the STM solver almost always have such a vertex (every slot basic, every
+row tight), and one certificate costs two small dense solves where the
+simplex would take one pivot per row. A singular basis or a failed check
+falls back to the simplex below, started from the slack basis, so the
+result never depends on the guess being right.
+
+The simplex is a two-phase tableau method with Bland's anti-cycling rule.
+The solver's LPs have one row per user plus the frame budget (2 to about
+100 rows), so a dense tableau with explicit tolerances beats pulling in an
+external solver: every numerical failure is surfaced. The reduced costs
+live in the tableau's last row, which each pivot updates with the same
+rank-1 elimination as every other row, so they are priced from scratch
+only at the start of a phase. Phase 1 ends by driving zero-valued
+artificials out of the basis; every row has its own slack column, so a
+pivot for that exists, and its absence is a NumericalBreakdown, never a
+dropped row.
 
 Pivot selection (Bland's entering column and the minimum-ratio leaving row)
 takes one of two paths, chosen from the number of constraint rows. Up to
@@ -20,14 +31,13 @@ tableaux select with numpy array operations. Both paths make the same
 comparisons and divisions, so they take the same pivots and return the same
 bytes. The cutoff is the measured crossover on throughput LPs: with float
 selection a whole solve is about 1.4x faster at 7 rows, even near 30 rows
-and about 0.8x as fast at 101; float selection at every size made the
-fixed-order-lp benchmark (51- and 101-row LPs) about 16% slower in items
-per second. Everything else (set-up, phase-1 pricing, the rank-1 pivot and
-the solution) is numpy at every size."""
+and about 0.8x as fast at 101. Everything else (set-up, phase-1 pricing,
+the rank-1 pivot and the solution) is numpy at every size."""
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +62,18 @@ class LpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x  subject to  constraint_matrix . x <= rhs, x >= 0."""
+    """maximize objective . x  subject to  constraint_matrix . x <= rhs, x >= 0.
+
+    ``start``, if given, is a guess at an optimal basis: one distinct
+    structural column per constraint row, so every row is tight at its
+    vertex. ``solve`` certifies it before pivoting and ignores it when the
+    certificate fails; it never changes which problem is solved.
+    """
 
     objective: np.ndarray
     constraint_matrix: np.ndarray
     rhs: np.ndarray
+    start: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=float)
@@ -72,6 +89,13 @@ class LpProblem:
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", a)
         object.__setattr__(self, "rhs", b)
+        if self.start is not None:
+            start = tuple(map(operator.index, self.start))
+            m, n = a.shape
+            if len(start) != m or len(set(start)) != m or not all(0 <= j < n for j in start):
+                raise ValueError(f"start must name {m} distinct columns in [0, {n}), "
+                                 f"got {self.start!r}")
+            object.__setattr__(self, "start", start)
 
 
 @dataclass(frozen=True)
@@ -157,11 +181,52 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enterable: int) -> bo
     raise NumericalBreakdown("iteration limit reached; simplex is not converging")
 
 
+def _certified_start(problem: LpProblem) -> np.ndarray | None:
+    """The vertex of ``problem.start`` if it passes the simplex's own
+    optimality test, else ``None``.
+
+    The vertex is x_B = B^-1 b with every other variable (slacks included)
+    at zero, so each row is tight. It must be finite and nonnegative, and
+    with duals y = B^-T c_B every nonbasic reduced cost (-y for the slacks,
+    c_j - y.A_j for the structural columns outside the basis) must be at
+    most FEASIBILITY_TOL. The basic columns' reduced costs are zero in
+    exact arithmetic; their round-off residue grows with the data's scale,
+    so they are not tested.
+    """
+    a = problem.constraint_matrix
+    c = problem.objective
+    cols = list(problem.start)
+    basis_matrix = a[:, cols]
+    try:
+        x_basic = np.linalg.solve(basis_matrix, problem.rhs)
+        # min >= 0 and max < inf: all entries finite and nonnegative (the
+        # initial 0 covers m = 0). A NaN fails every comparison.
+        if not 0.0 <= x_basic.min(initial=0.0) <= x_basic.max(initial=0.0) < np.inf:
+            return None
+        duals = np.linalg.solve(basis_matrix.T, c[cols])
+    except np.linalg.LinAlgError:
+        return None
+    if not -FEASIBILITY_TOL <= duals.min(initial=0.0) <= duals.max(initial=0.0) < np.inf:
+        return None
+    reduced = c - duals @ a
+    reduced[cols] = 0.0
+    if not (reduced <= FEASIBILITY_TOL).all():
+        return None
+    x = np.zeros(c.size)
+    x[cols] = x_basic
+    return x
+
+
 def solve(problem: LpProblem) -> LpSolution:
     """Solve the LP; never silently absorbs a numerical failure.
 
     Returns a basic feasible optimum (status OPTIMAL with ``x`` and
     ``objective_value``), or status UNBOUNDED / INFEASIBLE.
+
+    A ``problem.start`` basis whose vertex is certified optimal is returned
+    without pivoting. Otherwise (no start, a singular basis, a negative
+    vertex or an improving reduced cost) the two-phase simplex runs from the
+    slack basis exactly as it does for a problem without a start.
 
     The tolerances are absolute, not scaled to the data: a reduced cost
     must exceed FEASIBILITY_TOL to enter and a pivot must exceed PIVOT_TOL.
@@ -178,6 +243,11 @@ def solve(problem: LpProblem) -> LpSolution:
     b = problem.rhs
     c = problem.objective
     m, n = a.shape
+    if problem.start is not None:
+        x = _certified_start(problem)
+        if x is not None:
+            return LpSolution(status=LpStatus.OPTIMAL, x=x,
+                              objective_value=float(c @ x))
 
     # Rows with negative rhs are negated (flipping their slack sign) and get
     # an artificial variable, so the initial basis is always feasible. The

@@ -68,6 +68,8 @@ class GenConfig:
         require_finite(self)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if not (self.radius > 0 and self.ref_distance > 0):

@@ -100,7 +100,8 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int]) -> lp.LpProbl
     Variables are [tau0, tau_order[0], ..., tau_order[-1]]. Maximize the
     rate-weighted transmission times subject to the frame budget and, per
     user, spending no more than battery plus what is harvested by the end
-    of its own slot.
+    of its own slot. The start basis guesses the usual optimum: every
+    variable basic, so the frame is full and every user spends all it has.
     """
     params = instance.params
     users = [instance.users[i - 1] for i in order]
@@ -115,7 +116,8 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int]) -> lp.LpProbl
     a = np.where(k <= k[:, None], -harvest[:, None], 0.0)
     a[0] = 1.0
     a.ravel()[c.size + 1::c.size + 1] += params.p_max   # diagonal below row 0
-    return lp.LpProblem(objective=c, constraint_matrix=a, rhs=b)
+    return lp.LpProblem(objective=c, constraint_matrix=a, rhs=b,
+                        start=tuple(range(c.size)))
 
 
 def fixed_order_stm(instance: NetworkInstance, order: Sequence[int]) -> StmSolution:

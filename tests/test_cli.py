@@ -75,8 +75,16 @@ class TestSpecValidation:
         (base_spec_dict(values="abc"), "values must be a list of numbers"),
         (base_spec_dict(gen=base_gen_dict(seed="x")), "seed must be an integer"),
         (base_spec_dict(gen=base_gen_dict(seed=True)), "seed must be an integer"),
+        (base_spec_dict(gen=base_gen_dict(seed=-1)), "seed must be >= 0, got -1"),
+        (base_spec_dict(oracle="false"), "oracle must be true or false, got 'false'"),
+        (base_spec_dict(oracle=0), "oracle must be true or false, got 0"),
+        (base_spec_dict(trials=2.7), "trials must be an integer, got 2.7"),
+        (base_spec_dict(trials=2.0), "trials must be an integer, got 2.0"),
+        (base_spec_dict(trials="4"), "trials must be an integer, got '4'"),
+        (base_spec_dict(trials=True), "trials must be an integer, got True"),
     ], ids=["negative-hap-power", "values-not-a-list", "seed-not-an-integer",
-            "seed-is-a-bool"])
+            "seed-is-a-bool", "seed-negative", "oracle-a-string", "oracle-a-number",
+            "trials-fractional", "trials-a-float", "trials-a-string", "trials-a-bool"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, spec, message):
         spec_path = write_json(tmp_path / "spec.json", spec)
         out = tmp_path / "out.csv"
@@ -180,6 +188,17 @@ class TestGen:
         assert payload["provenance"]["config"]["seed"] == 99
         instance = instance_from_dict(payload)
         assert instance.n_users == 3
+
+    @pytest.mark.parametrize("config, flags", [
+        (base_gen_dict(seed=-1), []),
+        (base_gen_dict(), ["--seed", "-1"]),
+    ], ids=["in-config", "by-flag"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, config, flags):
+        config_path = write_json(tmp_path / "gen.json", config)
+        out = tmp_path / "instance.json"
+        assert main(["gen", "--config", config_path, "--out", str(out), *flags]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config_path = write_json(tmp_path / "gen.json", base_gen_dict())
@@ -460,3 +479,58 @@ class TestInfeasibleCounting:
         assert rows[0]["trials"] == 4
         assert sum(1 for r in raw if r["infeasible"]) == 2
         assert rows[0]["mlsa_length_mean"] is not None
+
+
+class TestOutputTarget:
+    """An output that cannot be written is a configuration error named
+    after the target, found before any instance is drawn or trial run."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_module, "sample", lambda config: calls.append(config))
+        return calls
+
+    @pytest.mark.parametrize("flag", ["--out", "--raw"])
+    def test_sweep_into_missing_directory(self, tmp_path, capsys, no_work, flag):
+        spec_path = write_json(tmp_path / "spec.json", base_spec_dict())
+        paths = {"--out": str(tmp_path / "out.csv"), "--raw": str(tmp_path / "raw.jsonl")}
+        paths[flag] = str(tmp_path / "nodir" / "x")
+        code = main(["sweep", "--spec", spec_path, "--out", paths["--out"],
+                     "--raw", paths["--raw"]])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {paths[flag]}: directory "
+            f"{os.path.realpath(tmp_path / 'nodir')} does not exist\n")
+        assert no_work == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_gen_into_missing_directory(self, tmp_path, capsys, no_work):
+        config_path = write_json(tmp_path / "gen.json", base_gen_dict())
+        out = tmp_path / "nodir" / "instance.json"
+        assert main(["gen", "--config", config_path, "--out", str(out)]) == 2
+        assert f"error: cannot write {out}: directory" in capsys.readouterr().err
+        assert no_work == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json"]
+
+    def test_directory_as_target(self, tmp_path, capsys, no_work):
+        spec_path = write_json(tmp_path / "spec.json", base_spec_dict())
+        assert main(["sweep", "--spec", spec_path, "--out", str(tmp_path)]) == 2
+        assert f"error: cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+        assert no_work == []
+
+    def test_dangling_symlink_names_the_missing_directory(self, tmp_path, capsys, no_work):
+        config_path = write_json(tmp_path / "gen.json", base_gen_dict())
+        link = tmp_path / "instance.json"
+        link.symlink_to(tmp_path / "nodir" / "instance.json")
+        assert main(["gen", "--config", config_path, "--out", str(link)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {link}: directory "
+            f"{os.path.realpath(tmp_path / 'nodir')} does not exist\n")
+        assert no_work == []
+
+    def test_relative_target_in_working_directory(self, tmp_path, monkeypatch):
+        config_path = write_json(tmp_path / "gen.json", base_gen_dict())
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--config", config_path, "--out", "instance.json"]) == 0
+        assert (tmp_path / "instance.json").exists()

@@ -1,8 +1,11 @@
 """Simplex solver against hand cases and the vertex-enumeration oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from wpcn_sched import lp as lp_module
 from wpcn_sched.lp import (
     FEASIBILITY_TOL,
     LpProblem,
@@ -10,14 +13,15 @@ from wpcn_sched.lp import (
     NumericalBreakdown,
     solve,
 )
+from wpcn_sched.stm import throughput_lp
 
-from helpers import vertex_enum_max
+from helpers import random_instance, vertex_enum_max
 
 
-def lp(c, a, b) -> LpProblem:
+def lp(c, a, b, start=None) -> LpProblem:
     return LpProblem(objective=np.array(c, dtype=float),
                      constraint_matrix=np.array(a, dtype=float),
-                     rhs=np.array(b, dtype=float))
+                     rhs=np.array(b, dtype=float), start=start)
 
 
 def random_bounded_lp(rng, n, m_extra):
@@ -41,6 +45,18 @@ class TestProblemValidation:
             lp([np.inf], [[1.0]], [1.0])
         with pytest.raises(ValueError):
             lp([1.0], [[np.nan]], [1.0])
+
+    @pytest.mark.parametrize("start", [(0,), (0, 0), (0, 2), (-1, 0), (0, 1, 2)],
+                             ids=["too-few", "repeated", "past-the-end", "negative",
+                                  "too-many"])
+    def test_bad_start_rejected(self, start):
+        with pytest.raises(ValueError, match="start must name 2 distinct columns"):
+            lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], start=start)
+
+    def test_start_is_kept_as_a_tuple(self):
+        problem = lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0],
+                     start=np.array([1, 0]))
+        assert problem.start == (1, 0)
 
 
 class TestHandCases:
@@ -256,3 +272,75 @@ class TestDeterminism:
         second = solve(problem)
         assert first.objective_value == second.objective_value
         assert np.array_equal(first.x, second.x)
+
+
+class TestCertifiedStart:
+    """A start basis is returned only when its vertex passes the simplex's
+    optimality test; any other start gives the cold solve's result."""
+
+    @staticmethod
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
+
+    @pytest.fixture
+    def no_pivoting(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_run_simplex", self.no_simplex)
+
+    @pytest.mark.parametrize("c, a, b, start, x", [
+        # x0 + x1 <= 1 and x0 <= 0.3, both tight at the optimum
+        ([2.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.3], (1, 0), [0.3, 0.7]),
+        # x0 >= 1 would need phase 1 from the slack basis
+        ([1.0, 2.0], [[-1.0, 0.0], [1.0, 1.0]], [-1.0, 3.0], (0, 1), [1.0, 2.0]),
+    ], ids=["shared-budget", "negative-rhs"])
+    def test_optimal_start_is_returned_without_pivoting(self, no_pivoting, c, a, b,
+                                                        start, x):
+        problem = lp(c, a, b, start=start)
+        solution = solve(problem)
+        assert solution.status is LpStatus.OPTIMAL
+        assert solution.x.tolist() == pytest.approx(x, abs=1e-15)
+        assert solution.objective_value == float(problem.objective @ solution.x)
+
+    @pytest.mark.parametrize("c, a, b, start", [
+        # x0 + x1 = 1 and x0 - x1 = 2 meet at (1.5, -0.5)
+        ([2.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 2.0], (0, 1)),
+        # (1, 1) is feasible, but loosening x1 <= 1 gains (its dual is -1)
+        ([1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], (0, 1)),
+        # x0 = 1 is feasible, but x1 prices out at 2 - 1 = 1
+        ([1.0, 2.0], [[1.0, 1.0]], [1.0], (0,)),
+        # the two rows are parallel: no basis
+        ([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], (0, 1)),
+        # needs phase 1 (x0 >= 1), and the start vertex (1, -1) is negative
+        ([-1.0, -1.0], [[-1.0, 0.0], [1.0, -1.0]], [-1.0, 2.0], (0, 1)),
+    ], ids=["primal-infeasible", "dual-infeasible-slack", "dual-infeasible-column",
+            "singular", "phase-one"])
+    def test_failed_certificate_falls_back_to_the_cold_solve(self, c, a, b, start):
+        problem = lp(c, a, b, start=start)
+        warm = solve(problem)
+        cold = solve(dataclasses.replace(problem, start=None))
+        assert warm.status is cold.status is LpStatus.OPTIMAL
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert warm.objective_value == cold.objective_value
+        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix,
+                                 problem.rhs)
+        assert abs(warm.objective_value - oracle) < 1e-9
+
+    @pytest.mark.parametrize("c, a, b, start, status", [
+        ([1.0], [[-1.0]], [1.0], (0,), LpStatus.UNBOUNDED),
+        ([1.0], [[1.0]], [-1.0], (0,), LpStatus.INFEASIBLE),
+    ], ids=["unbounded", "infeasible"])
+    def test_non_optimal_status_survives_a_start(self, c, a, b, start, status):
+        assert solve(lp(c, a, b, start=start)).status is status
+
+    def test_throughput_lp_certifies_without_pivoting(self, monkeypatch):
+        # A pinned N=6 instance in the benchmark's regime whose all-slots-basic
+        # vertex is optimal: a certificate that never holds fails here.
+        problem = throughput_lp(random_instance(seed=6, n_users=6, battery_max=0.001),
+                                [3, 1, 4, 6, 5, 2])
+        cold = solve(dataclasses.replace(problem, start=None))
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "_run_simplex", self.no_simplex)
+            warm = solve(problem)
+        assert warm.status is LpStatus.OPTIMAL
+        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
+        assert np.allclose(warm.x, cold.x, rtol=0.0, atol=1e-12)
+        assert (warm.x > 0.0).all()

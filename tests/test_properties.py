@@ -1,6 +1,7 @@
 """Property-based checks of the simplex, the throughput LP builder and the
 schedulers against their exhaustive oracles."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -167,15 +168,39 @@ def test_throughput_lp_is_the_loop_built_lp_byte_for_byte(data):
     assert problem.rhs.tobytes() == b.tobytes()
 
 
-small_instances = st.builds(
-    GenConfig,
-    n_users=st.sampled_from([4, 3, 2, 1]),
-    seed=st.integers(0, 2**63),
-    system=st.builds(SystemParams, p_h=st.floats(0.1, 10.0), p_max=st.floats(0.01, 1.0)),
-    demand_bits=st.sampled_from([10.0, 100.0, 1000.0]),
-    battery_max=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
-    min_distance=st.sampled_from([0.0, 1.0]),
-).map(sample)
+def generated_instances(n_users):
+    return st.builds(
+        GenConfig,
+        n_users=n_users,
+        seed=st.integers(0, 2**63),
+        system=st.builds(SystemParams, p_h=st.floats(0.1, 10.0), p_max=st.floats(0.01, 1.0)),
+        demand_bits=st.sampled_from([10.0, 100.0, 1000.0]),
+        battery_max=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+        min_distance=st.sampled_from([0.0, 1.0]),
+    ).map(sample)
+
+
+small_instances = generated_instances(st.sampled_from([4, 3, 2, 1]))
+
+
+@st.composite
+def generated_instances_and_orders(draw):
+    instance = draw(generated_instances(st.sampled_from([6, 5, 4, 3, 2, 1])))
+    return instance, draw(st.permutations(range(1, instance.n_users + 1)))
+
+
+@given(generated_instances_and_orders())
+def test_certified_start_matches_the_cold_solve(data):
+    instance, order = data
+    problem = throughput_lp(instance, order)
+    warm = solve(problem)
+    cold = solve(dataclasses.replace(problem, start=None))
+    assert warm.status is cold.status is LpStatus.OPTIMAL
+    assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
+    assert np.all(np.abs(warm.x - cold.x) <= 1e-12 * np.maximum(1.0, np.abs(cold.x)))
+    if instance.n_users <= 3:
+        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix, problem.rhs)
+        assert abs(warm.objective_value - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
 
 def mls_or_none(solver, instance):
