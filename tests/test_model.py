@@ -110,6 +110,22 @@ class TestTypes:
         assert again.users[0].eh_slope == 99.0
         assert again.users[0].eh_threshold == 0.02
 
+    def test_public_names_are_pinned(self):
+        import wpcn_sched
+
+        assert sorted(wpcn_sched.__all__) == [
+            "FeasibilityReport", "GenConfig", "Infeasible", "LpFailure", "LpProblem",
+            "LpSolution", "LpStatus", "MalformedSchedule", "MlsSolution",
+            "NetworkInstance", "NumericalBreakdown", "RateOverflow", "Schedule", "Slot",
+            "StmSolution", "SystemParams", "TooLarge", "UserProfile", "brute_force_mls",
+            "brute_force_stm", "derive_seed", "energy_required", "fixed_order_mls",
+            "fixed_order_stm", "harvest_curve", "harvest_rate", "instance_from_dict",
+            "instance_to_dict", "linear_gain", "mlsa", "mrsa", "path_loss_db", "pdo",
+            "rate", "s_min", "sample", "sample_gain", "snr_coefficient", "solve_lp",
+            "tau_min", "validate",
+        ]
+        assert all(hasattr(wpcn_sched, name) for name in wpcn_sched.__all__)
+
 
 class TestSnrCoefficient:
     def test_unit_denominator(self):
