@@ -24,12 +24,14 @@ from dataclasses import dataclass
 
 from . import mls, stm
 from .model import (
+    BRUTE_FORCE_LIMIT,
     Infeasible,
     NetworkInstance,
     RateOverflow,
+    check_types,
     instance_from_dict,
     instance_to_dict,
-    schedule_to_dict,
+    to_dict,
     validate,
 )
 from .netgen import RNG_NAME, GenConfig, config_from_dict, config_to_dict, derive_seed, sample
@@ -93,14 +95,14 @@ class SweepSpec:
         if not self.problems or any(p not in PROBLEMS for p in self.problems):
             raise ConfigError(f"problems must be a nonempty subset of {PROBLEMS}")
         if self.axis == "n_users":
-            if any(v != int(v) or v < 1 for v in self.values):
+            if any(not float(v).is_integer() or v < 1 for v in self.values):
                 raise ConfigError("n_users axis values must be positive integers")
         if self.oracle:
             n_max = max(int(v) for v in self.values) if self.axis == "n_users" \
                 else self.gen.n_users
-            if n_max > stm.BRUTE_FORCE_LIMIT:
+            if n_max > BRUTE_FORCE_LIMIT:
                 raise ConfigError(
-                    f"oracle requested with {n_max} users; limit is {stm.BRUTE_FORCE_LIMIT}")
+                    f"oracle requested with {n_max} users; limit is {BRUTE_FORCE_LIMIT}")
 
 
 def spec_from_dict(data: dict, trials_override: int | None = None) -> SweepSpec:
@@ -116,19 +118,15 @@ def spec_from_dict(data: dict, trials_override: int | None = None) -> SweepSpec:
         if not isinstance(values, (list, tuple)) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
             raise ValueError(f"values must be a list of numbers, got {values!r}")
+        check_types(SweepSpec, data)
         trials = data.get("trials", 100)
-        if not isinstance(trials, int) or isinstance(trials, bool):
-            raise ValueError(f"trials must be an integer, got {trials!r}")
-        oracle = data.get("oracle", False)
-        if not isinstance(oracle, bool):
-            raise ValueError(f"oracle must be true or false, got {oracle!r}")
         spec = SweepSpec(
             axis=axis,
             values=tuple(values),
             trials=trials if trials_override is None else trials_override,
             gen=gen,
             problems=tuple(data.get("problems", PROBLEMS)),
-            oracle=oracle,
+            oracle=data.get("oracle", False),
         )
         for value in spec.values:
             _config_at(gen, axis, value)
@@ -208,34 +206,17 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
             raw.append({"axis": spec.axis, "axis_value": value, "trial": t,
                         "seed": trial_config.seed, **record})
 
-        feasible = [r for r in trials if not r["infeasible"]]
-        mlsa_mean, mlsa_std = _mean_std([r["mlsa_length"] for r in feasible
-                                         if "mlsa_length" in r])
-        pdo_mean, pdo_std = _mean_std([r["pdo_length"] for r in feasible
-                                       if "pdo_length" in r])
-        mrsa_mean, mrsa_std = _mean_std([r["mrsa_throughput"] for r in trials
-                                         if "mrsa_throughput" in r])
-        opt_mean, opt_std = _mean_std([r["opt_throughput"] for r in trials
-                                       if "opt_throughput" in r])
+        row = {"axis_value": value, "trials": spec.trials,
+               "infeasible": sum(1 for r in trials if r["infeasible"])}
+        # Infeasible trials carry no length keys, so they drop out here.
+        for key in ("mlsa_length", "pdo_length", "mrsa_throughput", "opt_throughput"):
+            row[f"{key}_mean"], row[f"{key}_std"] = _mean_std([r[key] for r in trials
+                                                                 if key in r])
         ratios = [r["mrsa_opt_ratio"] for r in trials if "mrsa_opt_ratio" in r]
-        ratio_mean, _ = _mean_std(ratios)
-        exact_hits = sum(1 for r in ratios if r >= 1.0 - EXACT_RATIO_TOL) if ratios else None
-
-        rows.append({
-            "axis_value": value,
-            "trials": spec.trials,
-            "infeasible": sum(1 for r in trials if r["infeasible"]),
-            "mlsa_length_mean": mlsa_mean,
-            "mlsa_length_std": mlsa_std,
-            "pdo_length_mean": pdo_mean,
-            "pdo_length_std": pdo_std,
-            "mrsa_throughput_mean": mrsa_mean,
-            "mrsa_throughput_std": mrsa_std,
-            "opt_throughput_mean": opt_mean,
-            "opt_throughput_std": opt_std,
-            "mrsa_opt_ratio_mean": ratio_mean,
-            "exact_optimal_count": exact_hits,
-        })
+        row["mrsa_opt_ratio_mean"] = _mean_std(ratios)[0]
+        row["exact_optimal_count"] = (sum(1 for r in ratios if r >= 1.0 - EXACT_RATIO_TOL)
+                                      if ratios else None)
+        rows.append(row)
     return rows, raw
 
 
@@ -332,7 +313,7 @@ def solve_one(instance: NetworkInstance, problem: str, algorithm: str) -> dict:
     result = {
         "problem": problem,
         "algorithm": algorithm,
-        **schedule_to_dict(solution.schedule),
+        **to_dict(solution.schedule),
         "length": report.length,
         "throughput": report.throughput,
         "feasibility": {

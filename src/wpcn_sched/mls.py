@@ -4,25 +4,16 @@ Each user transmits exactly its minimum time (transmitting longer never
 shortens the frame), so the only freedom is the transmission order and the
 leading harvest-only interval. Ordering users by minimum feasible start
 time is optimal; an exhaustive permutation search is kept as an oracle for
-small instances.
+small instances. The search and the slot layout are shared with the
+throughput solvers: :func:`model.best_order` and :func:`model.layout`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import (
-    BRUTE_FORCE_LIMIT,
-    NetworkInstance,
-    Schedule,
-    Slot,
-    TooLarge,
-    check_order,
-    s_min,
-    tau_min,
-)
+from .model import NetworkInstance, Schedule, best_order, check_order, layout, s_min, tau_min
 
 
 @dataclass(frozen=True)
@@ -55,12 +46,8 @@ def fixed_order_mls(instance: NetworkInstance, order: Sequence[int]) -> MlsSolut
         tau0 = max(tau0, s - elapsed)
         elapsed += d
 
-    slots = []
-    t = tau0
-    for i, d in zip(order, durations):
-        slots.append(Slot(user=i, start=t, duration=d))
-        t += d
-    return MlsSolution(schedule=Schedule(tau0=tau0, slots=tuple(slots)), length=t)
+    schedule = layout(tau0, zip(order, durations))
+    return MlsSolution(schedule=schedule, length=schedule.length)
 
 
 def mlsa(instance: NetworkInstance) -> MlsSolution:
@@ -93,13 +80,4 @@ def brute_force_mls(instance: NetworkInstance) -> MlsSolution:
         TooLarge: more than BRUTE_FORCE_LIMIT users.
         Infeasible: some user can never transmit.
     """
-    n = instance.n_users
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"{n} users; permutation search is capped at {BRUTE_FORCE_LIMIT}")
-    best: MlsSolution | None = None
-    for order in itertools.permutations(range(1, n + 1)):
-        candidate = fixed_order_mls(instance, order)
-        if best is None or candidate.length < best.length:
-            best = candidate
-    assert best is not None
-    return best
+    return best_order(instance, fixed_order_mls, lambda solution: -solution.length)

@@ -9,9 +9,11 @@ throughout: watts, hertz, joules, seconds, bits.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 # Replay tolerances: double precision accumulated over at most N+1 slots.
 ENERGY_TOL = 1e-12   # joules
@@ -370,54 +372,84 @@ def validate(instance: NetworkInstance, schedule: Schedule,
                              length=schedule.length, throughput=throughput)
 
 
+# -- shared by the minimum-length and sum-throughput solvers -----------------
+
+T = TypeVar("T")
+
+
+def best_order(instance: NetworkInstance,
+               solve: Callable[[NetworkInstance, Sequence[int]], T],
+               score: Callable[[T], float]) -> T:
+    """Exhaustive search: the ``solve(instance, order)`` of highest ``score``
+    over every transmission order.
+
+    Ties break toward the lexicographically smallest order (``max`` keeps
+    the first of equal scores). Only for small instances.
+
+    Raises:
+        TooLarge: more than BRUTE_FORCE_LIMIT users.
+    """
+    n = instance.n_users
+    if n > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"{n} users; permutation search is capped at {BRUTE_FORCE_LIMIT}")
+    return max((solve(instance, order) for order in itertools.permutations(range(1, n + 1))),
+               key=score)
+
+
+def layout(tau0: float, pairs: Iterable[tuple[int, float]]) -> Schedule:
+    """Schedule of (user, duration) pairs in slot order, back to back after
+    the leading unallocated interval. Zero durations are kept."""
+    slots = []
+    t = tau0
+    for user, duration in pairs:
+        slots.append(Slot(user=user, start=t, duration=duration))
+        t += duration
+    return Schedule(tau0=tau0, slots=slots)
+
+
 # -- canonical JSON representation (used by the CLI) -------------------------
 
-_USER_OPTIONAL = ("eh_slope", "eh_threshold")
+# Accepted Python types and their description, per scalar field type.
+_JSON_SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                 "bool": (bool, "true or false")}
 
 
-def params_to_dict(params: SystemParams) -> dict:
-    return {
-        "p_h": params.p_h,
-        "p_max": params.p_max,
-        "bandwidth": params.bandwidth,
-        "noise_density": params.noise_density,
-        "self_interference": params.self_interference,
-        "eh_saturation": params.eh_saturation,
-        "eh_slope": params.eh_slope,
-        "eh_threshold": params.eh_threshold,
-    }
+def check_types(cls: type, data: dict) -> None:
+    """Raise ValueError unless each number or flag in ``data`` fits its field
+    of dataclass ``cls``.
+
+    int fields take integers, bool fields true or false, and float fields
+    any number; a bool is never a number. ``None`` passes where the field is
+    optional. Other fields, and the values' ranges, are left to ``cls``.
+    """
+    for field in dataclasses.fields(cls):  # field.type is the annotation string
+        kind = field.type.removesuffix(" | None")
+        if field.name not in data or kind not in _JSON_SCALARS:
+            continue
+        value = data[field.name]
+        if value is None and kind != field.type:
+            continue
+        types, words = _JSON_SCALARS[kind]
+        if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
+            raise ValueError(f"{field.name} must be {words}, got {value!r}")
 
 
-def user_to_dict(user: UserProfile) -> dict:
-    d = {
-        "uplink_gain": user.uplink_gain,
-        "downlink_gain": user.downlink_gain,
-        "initial_energy": user.initial_energy,
-        "demand_bits": user.demand_bits,
-    }
-    for key in _USER_OPTIONAL:
-        value = getattr(user, key)
-        if value is not None:
-            d[key] = value
-    return d
+def from_dict(cls: type[T], data: dict) -> T:
+    """Dataclass ``cls`` built from a JSON object, its scalar types checked first."""
+    check_types(cls, data)
+    return cls(**data)
+
+
+def to_dict(obj) -> dict:
+    """JSON-ready dict of dataclass ``obj`` in field order; ``None`` overrides are left out."""
+    return dataclasses.asdict(
+        obj, dict_factory=lambda items: {k: v for k, v in items if v is not None})
 
 
 def instance_to_dict(instance: NetworkInstance) -> dict:
-    return {
-        "params": params_to_dict(instance.params),
-        "users": [user_to_dict(u) for u in instance.users],
-    }
+    return {"params": to_dict(instance.params), "users": [to_dict(u) for u in instance.users]}
 
 
 def instance_from_dict(data: dict) -> NetworkInstance:
-    params = SystemParams(**data["params"])
-    users = tuple(UserProfile(**u) for u in data["users"])
-    return NetworkInstance(params=params, users=users)
-
-
-def schedule_to_dict(schedule: Schedule) -> dict:
-    return {
-        "tau0": schedule.tau0,
-        "slots": [{"user": s.user, "start": s.start, "duration": s.duration}
-                  for s in schedule.slots],
-    }
+    return NetworkInstance(params=from_dict(SystemParams, data["params"]),
+                           users=tuple(from_dict(UserProfile, u) for u in data["users"]))

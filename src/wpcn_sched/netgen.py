@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import NetworkInstance, SystemParams, UserProfile, params_to_dict, require_finite
+from .model import NetworkInstance, SystemParams, UserProfile, from_dict, require_finite, to_dict
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng; pinned by golden tests
 
@@ -66,8 +66,6 @@ class GenConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_users < 1:
@@ -134,24 +132,12 @@ def sample(config: GenConfig) -> NetworkInstance:
 
 
 def config_to_dict(config: GenConfig) -> dict:
-    return {
-        "n_users": config.n_users,
-        "seed": config.seed,
-        "system": params_to_dict(config.system),
-        "radius": config.radius,
-        "ref_distance": config.ref_distance,
-        "ref_loss_db": config.ref_loss_db,
-        "path_loss_exp": config.path_loss_exp,
-        "shadow_sigma_db": config.shadow_sigma_db,
-        "demand_bits": config.demand_bits,
-        "battery_max": config.battery_max,
-        "fading": config.fading,
-        "min_distance": config.min_distance,
-    }
+    return to_dict(config)
 
 
 def config_from_dict(data: dict) -> GenConfig:
+    """GenConfig from a JSON object; see :func:`model.check_types` for the type rules."""
     data = dict(data)
     if "system" in data:
-        data["system"] = SystemParams(**data["system"])
-    return GenConfig(**data)
+        data["system"] = from_dict(SystemParams, data["system"])
+    return from_dict(GenConfig, data)

@@ -4,28 +4,20 @@ Transmission order matters because later slots leave more time to harvest.
 For a fixed order the time allocation is a linear program; the exact
 solution enumerates every order (kept as an oracle for small instances).
 The max-rate-first heuristic instead fills the frame from the back,
-granting the highest-rate users the late, energy-rich slots.
+granting the highest-rate users the late, energy-rich slots. The order
+search and the slot layout are shared with the minimum-length solvers:
+:func:`model.best_order` and :func:`model.layout`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import lp
-from .model import (
-    BRUTE_FORCE_LIMIT,
-    NetworkInstance,
-    Schedule,
-    Slot,
-    TooLarge,
-    check_order,
-    harvest_rate,
-    rate,
-)
+from .model import NetworkInstance, Schedule, best_order, check_order, harvest_rate, layout, rate
 
 FRAME_LENGTH = 1.0  # normalized frame; throughput scales linearly with it
 
@@ -41,21 +33,6 @@ class StmSolution:
     schedule: Schedule
     throughput: float
     scheduled_users: tuple[int, ...]
-
-
-def _layout(tau0: float, allocations: Sequence[tuple[int, float]]) -> list[Slot]:
-    """Slots for (user, duration) pairs in slot order.
-
-    Zero durations are dropped; the remaining slots sit back-to-back after
-    the leading unallocated interval.
-    """
-    slots = []
-    t = tau0
-    for user, duration in allocations:
-        if duration > 0.0:
-            slots.append(Slot(user=user, start=t, duration=duration))
-            t += duration
-    return slots
 
 
 def mrsa(instance: NetworkInstance) -> StmSolution:
@@ -86,12 +63,10 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
         if remaining == 0.0:
             break
 
-    tau0 = remaining
-    slots = _layout(tau0, [(i, tau) for i, tau in reversed(granted)])
+    schedule = layout(remaining, [(i, tau) for i, tau in reversed(granted) if tau > 0.0])
     throughput = sum((tau * rates[i - 1] for i, tau in granted), 0.0)
-    scheduled = tuple(sorted(i for i, tau in granted if tau > 0.0))
-    return StmSolution(schedule=Schedule(tau0=tau0, slots=tuple(slots)),
-                       throughput=throughput, scheduled_users=scheduled)
+    scheduled = tuple(sorted(s.user for s in schedule.slots))
+    return StmSolution(schedule=schedule, throughput=throughput, scheduled_users=scheduled)
 
 
 def throughput_lp(instance: NetworkInstance, order: Sequence[int]) -> lp.LpProblem:
@@ -134,15 +109,12 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int]) -> StmSolut
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise LpFailure(f"time-allocation LP came back {solution.status.value}")
 
-    x = solution.x
-    tau0 = max(0.0, float(x[0]))
-    durations = [max(0.0, v) for v in x[1:].tolist()]
-    slots = _layout(tau0, list(zip(order, durations)))
+    x = solution.x.tolist()
+    schedule = layout(max(0.0, x[0]), [(i, d) for i, d in zip(order, x[1:]) if d > 0.0])
     rates = dict(zip(order, problem.objective[1:].tolist()))  # the LP's per-slot rates
-    throughput = sum(s.duration * rates[s.user] for s in slots)
-    scheduled = tuple(sorted(s.user for s in slots))
-    return StmSolution(schedule=Schedule(tau0=tau0, slots=tuple(slots)),
-                       throughput=throughput, scheduled_users=scheduled)
+    throughput = sum(s.duration * rates[s.user] for s in schedule.slots)
+    scheduled = tuple(sorted(s.user for s in schedule.slots))
+    return StmSolution(schedule=schedule, throughput=throughput, scheduled_users=scheduled)
 
 
 def brute_force_stm(instance: NetworkInstance) -> StmSolution:
@@ -154,13 +126,4 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
     Raises:
         TooLarge: more than BRUTE_FORCE_LIMIT users.
     """
-    n = instance.n_users
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"{n} users; order enumeration is capped at {BRUTE_FORCE_LIMIT}")
-    best: StmSolution | None = None
-    for order in itertools.permutations(range(1, n + 1)):
-        candidate = fixed_order_stm(instance, order)
-        if best is None or candidate.throughput > best.throughput:
-            best = candidate
-    assert best is not None
-    return best
+    return best_order(instance, fixed_order_stm, lambda solution: solution.throughput)

@@ -82,9 +82,20 @@ class TestSpecValidation:
         (base_spec_dict(trials=2.0), "trials must be an integer, got 2.0"),
         (base_spec_dict(trials="4"), "trials must be an integer, got '4'"),
         (base_spec_dict(trials=True), "trials must be an integer, got True"),
+        (base_spec_dict(gen=base_gen_dict(n_users=2.5)), "n_users must be an integer, got 2.5"),
+        (base_spec_dict(gen=base_gen_dict(fading="no")),
+         "fading must be true or false, got 'no'"),
+        (base_spec_dict(gen=base_gen_dict(system={"p_h": True, "p_max": 0.1})),
+         "p_h must be a number, got True"),
+        (base_spec_dict(axis="n_users", values=[float("inf")]),
+         "n_users axis values must be positive integers"),
+        (base_spec_dict(axis="n_users", values=[float("-inf")]),
+         "n_users axis values must be positive integers"),
     ], ids=["negative-hap-power", "values-not-a-list", "seed-not-an-integer",
             "seed-is-a-bool", "seed-negative", "oracle-a-string", "oracle-a-number",
-            "trials-fractional", "trials-a-float", "trials-a-string", "trials-a-bool"])
+            "trials-fractional", "trials-a-float", "trials-a-string", "trials-a-bool",
+            "gen-n-users-fractional", "gen-fading-a-string", "system-p-h-a-bool",
+            "n-users-axis-infinity", "n-users-axis-minus-infinity"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, spec, message):
         spec_path = write_json(tmp_path / "spec.json", spec)
         out = tmp_path / "out.csv"
@@ -286,7 +297,8 @@ class TestExitCodes:
 
 
 class TestNonFiniteInput:
-    """NaN and Infinity parse as JSON numbers; they must end as exit code 2.
+    """NaN and Infinity parse as JSON numbers; they must end as exit code 2,
+    as must a boolean or a fraction where a number or an integer belongs.
 
     A return value from ``main`` (rather than an escaping exception) is what
     rules out a traceback.
@@ -294,13 +306,22 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("problem,alg",
                              [("mls", "mlsa"), ("stm", "mrsa"), ("stm", "opt")])
-    @pytest.mark.parametrize("section,key,bad", [
-        ("users", "uplink_gain", float("inf")),
-        ("users", "initial_energy", float("nan")),
-        ("params", "p_h", float("inf")),
-        ("params", "noise_density", float("nan")),
+    @pytest.mark.parametrize("section,key,bad,message", [
+        pytest.param("users", "uplink_gain", float("inf"), "uplink_gain must be finite",
+                     id="users-uplink_gain-inf"),
+        pytest.param("users", "initial_energy", float("nan"), "initial_energy must be finite",
+                     id="users-initial_energy-nan"),
+        pytest.param("params", "p_h", float("inf"), "p_h must be finite", id="params-p_h-inf"),
+        pytest.param("params", "noise_density", float("nan"), "noise_density must be finite",
+                     id="params-noise_density-nan"),
+        pytest.param("users", "demand_bits", True,
+                     "bad instance file: demand_bits must be a number, got True",
+                     id="users-demand_bits-true"),
+        pytest.param("params", "bandwidth", False,
+                     "bad instance file: bandwidth must be a number, got False",
+                     id="params-bandwidth-false"),
     ])
-    def test_solve_rejects(self, tmp_path, capsys, problem, alg, section, key, bad):
+    def test_solve_rejects(self, tmp_path, capsys, problem, alg, section, key, bad, message):
         payload = json.loads((DATA / "golden_instance.json").read_text())
         target = payload["users"][0] if section == "users" else payload["params"]
         target[key] = bad
@@ -310,18 +331,28 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert f"{key} must be finite" in captured.err
+        assert message in captured.err
 
-    @pytest.mark.parametrize("override", [
-        {"radius": float("inf")},
-        {"battery_max": float("nan")},
-        {"system": {"p_h": 1.0, "p_max": float("-inf")}},
+    @pytest.mark.parametrize("override, message", [
+        pytest.param({"radius": float("inf")}, "must be finite", id="override0"),
+        pytest.param({"battery_max": float("nan")}, "must be finite", id="override1"),
+        pytest.param({"system": {"p_h": 1.0, "p_max": float("-inf")}}, "must be finite",
+                     id="override2"),
+        pytest.param({"n_users": 2.5},
+                     "error: bad generator config: n_users must be an integer, got 2.5",
+                     id="n-users-fractional"),
+        pytest.param({"fading": "no"},
+                     "error: bad generator config: fading must be true or false, got 'no'",
+                     id="fading-a-string"),
+        pytest.param({"system": {"p_h": True, "p_max": 0.1}},
+                     "error: bad generator config: p_h must be a number, got True",
+                     id="system-p-h-a-bool"),
     ])
-    def test_gen_rejects(self, tmp_path, capsys, override):
+    def test_gen_rejects(self, tmp_path, capsys, override, message):
         config_path = write_json(tmp_path / "gen.json", base_gen_dict(**override))
         out = tmp_path / "instance.json"
         assert main(["gen", "--config", config_path, "--out", str(out)]) == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_rejects(self, tmp_path, capsys):

@@ -1,17 +1,21 @@
 """Closed-form physical-layer math and schedule replay checks."""
 
 import dataclasses
+import itertools
 import math
+import re
 
 import pytest
 
 from wpcn_sched import (
+    GenConfig,
     Infeasible,
     MalformedSchedule,
     NetworkInstance,
     Schedule,
     Slot,
     SystemParams,
+    TooLarge,
     UserProfile,
     energy_required,
     harvest_curve,
@@ -25,6 +29,7 @@ from wpcn_sched import (
     tau_min,
     validate,
 )
+from wpcn_sched.model import BRUTE_FORCE_LIMIT, best_order, check_types, layout, to_dict
 
 from helpers import (
     exact_params,
@@ -256,6 +261,64 @@ class TestPerUserQuantities:
         user = no_harvest_user(demand_bits=100.0, battery=0.0)
         with pytest.raises(Infeasible):
             s_min(params, user)
+
+
+class TestSharedHelpers:
+    """The order search, slot layout and JSON type check shared by the solvers."""
+
+    def instance(self, n):
+        return NetworkInstance(params=make_params(), users=(make_user(),) * n)
+
+    def test_best_order_breaks_ties_toward_smallest_order(self):
+        assert best_order(self.instance(3), lambda _, order: order, lambda _: 0.0) == (1, 2, 3)
+        assert best_order(self.instance(3), lambda _, order: order,
+                          lambda order: order[0]) == (3, 1, 2)
+
+    def test_best_order_solves_every_order_once(self):
+        seen = []
+        best_order(self.instance(4), lambda _, order: seen.append(order), lambda _: 0.0)
+        assert sorted(seen) == sorted(itertools.permutations(range(1, 5)))
+        assert len(set(seen)) == 24
+
+    def test_best_order_size_limit(self):
+        with pytest.raises(TooLarge):
+            best_order(self.instance(BRUTE_FORCE_LIMIT + 1), lambda *_: pytest.fail(),
+                       lambda _: 0.0)
+
+    def test_layout_packs_back_to_back_and_keeps_zero_durations(self):
+        schedule = layout(0.5, [(2, 0.25), (3, 0.0), (1, 1.0)])
+        assert schedule == Schedule(tau0=0.5, slots=(
+            Slot(2, 0.5, 0.25), Slot(3, 0.75, 0.0), Slot(1, 0.75, 1.0)))
+        assert schedule.length == 1.75
+        assert layout(0.5, []) == Schedule(tau0=0.5)
+
+    @pytest.mark.parametrize("cls, data, message", [
+        (UserProfile, {"uplink_gain": True}, "uplink_gain must be a number, got True"),
+        (UserProfile, {"demand_bits": "5"}, "demand_bits must be a number, got '5'"),
+        (UserProfile, {"eh_slope": False}, "eh_slope must be a number, got False"),
+        (GenConfig, {"seed": 1.0}, "seed must be an integer, got 1.0"),
+        (GenConfig, {"n_users": False}, "n_users must be an integer, got False"),
+        (GenConfig, {"fading": 1}, "fading must be true or false, got 1"),
+    ])
+    def test_check_types_rejects(self, cls, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_types(cls, data)
+
+    @pytest.mark.parametrize("cls, data", [
+        (UserProfile, {"uplink_gain": 1, "downlink_gain": 0.5, "eh_slope": None}),
+        (GenConfig, {"n_users": 3, "seed": 0, "fading": False, "system": "unchecked"}),
+        (GenConfig, {"unknown": True}),
+    ])
+    def test_check_types_accepts(self, cls, data):
+        check_types(cls, data)
+
+    def test_to_dict_follows_field_order_and_drops_none_overrides(self):
+        user = make_user(eh_threshold=0.5)
+        assert list(to_dict(user)) == ["uplink_gain", "downlink_gain", "initial_energy",
+                                       "demand_bits", "eh_threshold"]
+        config = GenConfig(n_users=2, seed=1)
+        assert list(to_dict(config)) == [f.name for f in dataclasses.fields(GenConfig)]
+        assert to_dict(config)["system"] == dataclasses.asdict(config.system)
 
 
 class TestOracleAgreement:
