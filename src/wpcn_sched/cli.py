@@ -31,6 +31,7 @@ from .model import (
     check_types,
     instance_from_dict,
     instance_to_dict,
+    is_number,
     to_dict,
     validate,
 )
@@ -115,8 +116,7 @@ def spec_from_dict(data: dict, trials_override: int | None = None) -> SweepSpec:
         gen = config_from_dict(data["gen"])
         axis = data["axis"]
         values = data.get("values", DEFAULT_GRIDS.get(axis, ()))
-        if not isinstance(values, (list, tuple)) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        if not isinstance(values, (list, tuple)) or not all(map(is_number, values)):
             raise ValueError(f"values must be a list of numbers, got {values!r}")
         check_types(SweepSpec, data)
         trials = data.get("trials", 100)

@@ -7,9 +7,12 @@ that vertex when it is nonnegative and no nonbasic reduced cost exceeds
 FEASIBILITY_TOL, the simplex's own optimality test. The throughput LPs of
 the STM solver almost always have such a vertex (every slot basic, every
 row tight), and one certificate costs two small dense solves where the
-simplex would take one pivot per row. A singular basis or a failed check
-falls back to the simplex below, started from the slack basis, so the
-result never depends on the guess being right.
+simplex would take one pivot per row. When only some duals fail (are
+negative), each such row's column leaves the basis for the row's slack and
+the result is certified once more: in a throughput LP, those users get no
+time. A singular basis or any other failure falls back to the simplex
+below, started from the slack basis, so the result never depends on the
+guess being right.
 
 The simplex is a two-phase tableau method with Bland's anti-cycling rule.
 The solver's LPs have one row per user plus the frame budget (2 to about
@@ -20,19 +23,7 @@ rank-1 elimination as every other row, so they are priced from scratch
 only at the start of a phase. Phase 1 ends by driving zero-valued
 artificials out of the basis; every row has its own slack column, so a
 pivot for that exists, and its absence is a NumericalBreakdown, never a
-dropped row.
-
-Pivot selection (Bland's entering column and the minimum-ratio leaving row)
-takes one of two paths, chosen from the number of constraint rows. Up to
-FLOAT_SELECTION_MAX_ROWS rows it loops over the objective row, the entering
-column and the right-hand side as Python floats, since at that size the
-fixed cost of each numpy call outweighs its speed per entry; larger
-tableaux select with numpy array operations. Both paths make the same
-comparisons and divisions, so they take the same pivots and return the same
-bytes. The cutoff is the measured crossover on throughput LPs: with float
-selection a whole solve is about 1.4x faster at 7 rows, even near 30 rows
-and about 0.8x as fast at 101. Everything else (set-up, phase-1 pricing,
-the rank-1 pivot and the solution) is numpy at every size."""
+dropped row."""
 
 from __future__ import annotations
 
@@ -47,7 +38,6 @@ PIVOT_TOL = 1e-11
 _RATIO_TIE_TOL = 1e-12   # degenerate min-ratio ties resolved by Bland's rule
 _RESIDUE_TOL = 1e-14     # relative to a column's scale: round-off, not a pivot
 _MAX_ITERATIONS = 100_000  # Bland's rule terminates; guard against bugs
-FLOAT_SELECTION_MAX_ROWS = 30  # pivots chosen on Python floats up to here
 
 
 class NumericalBreakdown(RuntimeError):
@@ -66,8 +56,8 @@ class LpProblem:
 
     ``start``, if given, is a guess at an optimal basis: one distinct
     structural column per constraint row, so every row is tight at its
-    vertex. ``solve`` certifies it before pivoting and ignores it when the
-    certificate fails; it never changes which problem is solved.
+    vertex. ``solve`` certifies it, or its repair, before pivoting and
+    ignores it otherwise; it never changes which problem is solved.
     """
 
     objective: np.ndarray
@@ -100,9 +90,12 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """``path``: "certified" (the start), "repaired" (its repair) or "pivoted"."""
+
     status: LpStatus
     x: np.ndarray | None = None
     objective_value: float | None = None
+    path: str = "pivoted"
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -114,8 +107,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int,
-                 on_floats: bool) -> int | None:
+def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None:
     """Minimum-ratio row for entering ``col``; ties go to the smallest basic
     variable index (Bland). ``None`` means the column is unbounded.
 
@@ -126,37 +118,23 @@ def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int,
     be a genuine tiny pivot, and we refuse to guess.
     """
     column = tableau[:-1, col]
-    if on_floats:
-        # The same comparisons and divisions on Python floats.
-        rhs = tableau[:-1, -1].tolist()
-        ratios = {r: rhs[r] / v for r, v in enumerate(column.tolist()) if v > PIVOT_TOL}
-        if ratios:
-            bound = min(ratios.values()) + _RATIO_TIE_TOL
-            tied = [r for r, q in ratios.items() if q <= bound]
-            return tied[0] if len(tied) == 1 else min(tied, key=basis.__getitem__)
-    else:
-        candidates = (column > PIVOT_TOL).nonzero()[0]
-        if candidates.size:
-            ratios = tableau[candidates, -1] / column[candidates]
-            # ratios[argmin] is ratios.min() without its Python-level wrapper
-            tied = candidates[ratios <= ratios[ratios.argmin()] + _RATIO_TIE_TOL]
-            if tied.size == 1:
-                return int(tied[0])
-            return int(tied[basis[tied].argmin()])
+    candidates = (column > PIVOT_TOL).nonzero()[0]
+    if candidates.size:
+        ratios = tableau[candidates, -1] / column[candidates]
+        # ratios[argmin] is ratios.min() without its Python-level wrapper
+        tied = candidates[ratios <= ratios[ratios.argmin()] + _RATIO_TIE_TOL]
+        if tied.size == 1:
+            return int(tied[0])
+        return int(tied[basis[tied].argmin()])
     if (column > _RESIDUE_TOL * np.abs(column).max(initial=0.0)).any():
         raise NumericalBreakdown(
             f"entering column {col}: only pivots below {PIVOT_TOL} available")
     return None
 
 
-def _entering_column(reduced: np.ndarray, on_floats: bool) -> int | None:
+def _entering_column(reduced: np.ndarray) -> int | None:
     """Bland's entering column: the smallest index with an improving reduced
     cost, or ``None`` at an optimum."""
-    if on_floats:
-        for j, v in enumerate(reduced.tolist()):
-            if v > FEASIBILITY_TOL:
-                return j
-        return None
     improving = reduced > FEASIBILITY_TOL
     entering = int(improving.argmax())
     return entering if improving[entering] else None
@@ -169,52 +147,69 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enterable: int) -> bo
     only the first ``n_enterable`` columns may enter.
     """
     reduced = tableau[-1, :n_enterable]   # a view: each pivot updates it
-    on_floats = basis.size <= FLOAT_SELECTION_MAX_ROWS
     for _ in range(_MAX_ITERATIONS):
-        entering = _entering_column(reduced, on_floats)
+        entering = _entering_column(reduced)
         if entering is None:
             return True
-        leaving = _leaving_row(tableau, basis, entering, on_floats)
+        leaving = _leaving_row(tableau, basis, entering)
         if leaving is None:
             return False
         _pivot(tableau, basis, leaving, entering)
     raise NumericalBreakdown("iteration limit reached; simplex is not converging")
 
 
-def _certified_start(problem: LpProblem) -> np.ndarray | None:
-    """The vertex of ``problem.start`` if it passes the simplex's own
-    optimality test, else ``None``.
+def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
+    """The vertex of ``problem.start`` or of its repair, with the path that
+    passed the simplex's own optimality test ("certified" or "repaired"),
+    else ``None``.
 
-    The vertex is x_B = B^-1 b with every other variable (slacks included)
-    at zero, so each row is tight. It must be finite and nonnegative, and
-    with duals y = B^-T c_B every nonbasic reduced cost (-y for the slacks,
-    c_j - y.A_j for the structural columns outside the basis) must be at
-    most FEASIBILITY_TOL. The basic columns' reduced costs are zero in
-    exact arithmetic; their round-off residue grows with the data's scale,
-    so they are not tested.
+    The vertex is x_B = B^-1 b with every nonbasic variable at zero. It must
+    be finite and nonnegative, and with duals y = B^-T c_B every nonbasic
+    reduced cost (-y for the slacks, c_j - y.A_j for the structural columns
+    outside the basis) must be at most FEASIBILITY_TOL. The basic columns'
+    reduced costs are zero in exact arithmetic; their round-off residue
+    grows with the data's scale, so they are not tested. A start that fails
+    only on duals below -FEASIBILITY_TOL is repaired once, as below.
     """
     a = problem.constraint_matrix
     c = problem.objective
-    cols = list(problem.start)
+    cols = np.array(problem.start, dtype=np.intp)   # the basic structural columns...
+    rows = slice(None)                              # ...and the rows they are basic in
     basis_matrix = a[:, cols]
-    try:
-        x_basic = np.linalg.solve(basis_matrix, problem.rhs)
-        # min >= 0 and max < inf: all entries finite and nonnegative (the
-        # initial 0 covers m = 0). A NaN fails every comparison.
-        if not 0.0 <= x_basic.min(initial=0.0) <= x_basic.max(initial=0.0) < np.inf:
+    basic_costs = c[cols]
+    path = "certified"
+    while True:
+        try:
+            x_basic = np.linalg.solve(basis_matrix, problem.rhs)
+            # min >= 0 and max < inf: all entries finite and nonnegative (the
+            # initial 0 covers m = 0). A NaN fails every comparison.
+            if not 0.0 <= x_basic.min(initial=0.0) <= x_basic.max(initial=0.0) < np.inf:
+                return None
+            duals = np.linalg.solve(basis_matrix.T, basic_costs)
+        except np.linalg.LinAlgError:
             return None
-        duals = np.linalg.solve(basis_matrix.T, c[cols])
-    except np.linalg.LinAlgError:
-        return None
-    if not -FEASIBILITY_TOL <= duals.min(initial=0.0) <= duals.max(initial=0.0) < np.inf:
-        return None
-    reduced = c - duals @ a
-    reduced[cols] = 0.0
-    if not (reduced <= FEASIBILITY_TOL).all():
-        return None
-    x = np.zeros(c.size)
-    x[cols] = x_basic
-    return x
+        lowest = duals.min(initial=0.0)
+        if not -np.inf < lowest <= duals.max(initial=0.0) < np.inf:
+            return None
+        reduced = c - duals @ a
+        reduced[cols] = 0.0
+        if not (reduced <= FEASIBILITY_TOL).all():
+            return None
+        if lowest >= -FEASIBILITY_TOL:
+            x = np.zeros(c.size)
+            x[cols] = x_basic[rows]
+            return x, path
+        if path == "repaired":
+            return None
+        # Repair: each negative-dual row's column leaves for the row's slack
+        # (basis column e_i, cost 0), and the test runs once more.
+        path = "repaired"
+        dropped = duals < -FEASIBILITY_TOL
+        rows = (~dropped).nonzero()[0]
+        cols = cols[rows]
+        basis_matrix[:, dropped] = 0.0
+        basis_matrix[dropped, dropped] = 1.0
+        basic_costs[dropped] = 0.0
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -223,10 +218,12 @@ def solve(problem: LpProblem) -> LpSolution:
     Returns a basic feasible optimum (status OPTIMAL with ``x`` and
     ``objective_value``), or status UNBOUNDED / INFEASIBLE.
 
-    A ``problem.start`` basis whose vertex is certified optimal is returned
-    without pivoting. Otherwise (no start, a singular basis, a negative
-    vertex or an improving reduced cost) the two-phase simplex runs from the
-    slack basis exactly as it does for a problem without a start.
+    A ``problem.start`` basis whose vertex, or whose repair from negative
+    duals, is certified optimal is returned without pivoting. Otherwise (no
+    start, a singular basis, a negative vertex, an improving reduced cost or
+    a failed repair) the two-phase simplex runs from the slack basis exactly
+    as it does for a problem without a start. ``LpSolution.path`` says which
+    path ran.
 
     The tolerances are absolute, not scaled to the data: a reduced cost
     must exceed FEASIBILITY_TOL to enter and a pivot must exceed PIVOT_TOL.
@@ -244,10 +241,11 @@ def solve(problem: LpProblem) -> LpSolution:
     c = problem.objective
     m, n = a.shape
     if problem.start is not None:
-        x = _certified_start(problem)
-        if x is not None:
+        certified = _certified_start(problem)
+        if certified is not None:
+            x, path = certified
             return LpSolution(status=LpStatus.OPTIMAL, x=x,
-                              objective_value=float(c @ x))
+                              objective_value=float(c @ x), path=path)
 
     # Rows with negative rhs are negated (flipping their slack sign) and get
     # an artificial variable, so the initial basis is always feasible. The

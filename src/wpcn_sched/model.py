@@ -409,9 +409,19 @@ def layout(tau0: float, pairs: Iterable[tuple[int, float]]) -> Schedule:
 
 # -- canonical JSON representation (used by the CLI) -------------------------
 
-# Accepted Python types and their description, per scalar field type.
-_JSON_SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-                 "bool": (bool, "true or false")}
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970  # the least int that float() rounds past the largest double
+
+
+def is_number(value) -> bool:
+    """Whether a JSON scalar is a float, or an int (not a bool) that converts to a double."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) < _FLOAT_OVERFLOW)
+
+
+# What each scalar field type accepts, and its description.
+_JSON_SCALARS = {"int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+                 "float": (is_number, "a number"),
+                 "bool": (lambda v: isinstance(v, bool), "true or false")}
 
 
 def check_types(cls: type, data: dict) -> None:
@@ -419,8 +429,8 @@ def check_types(cls: type, data: dict) -> None:
     of dataclass ``cls``.
 
     int fields take integers, bool fields true or false, and float fields
-    any number; a bool is never a number. ``None`` passes where the field is
-    optional. Other fields, and the values' ranges, are left to ``cls``.
+    numbers (:func:`is_number`); a bool is never a number. ``None`` passes
+    where the field is optional. Other fields and ranges are left to ``cls``.
     """
     for field in dataclasses.fields(cls):  # field.type is the annotation string
         kind = field.type.removesuffix(" | None")
@@ -429,8 +439,8 @@ def check_types(cls: type, data: dict) -> None:
         value = data[field.name]
         if value is None and kind != field.type:
             continue
-        types, words = _JSON_SCALARS[kind]
-        if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
+        accepts, words = _JSON_SCALARS[kind]
+        if not accepts(value):
             raise ValueError(f"{field.name} must be {words}, got {value!r}")
 
 

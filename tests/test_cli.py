@@ -91,11 +91,14 @@ class TestSpecValidation:
          "n_users axis values must be positive integers"),
         (base_spec_dict(axis="n_users", values=[float("-inf")]),
          "n_users axis values must be positive integers"),
+        (base_spec_dict(values=[10 ** 400]), "values must be a list of numbers"),
+        (base_spec_dict(axis="n_users", values=[10 ** 400]), "values must be a list of numbers"),
     ], ids=["negative-hap-power", "values-not-a-list", "seed-not-an-integer",
             "seed-is-a-bool", "seed-negative", "oracle-a-string", "oracle-a-number",
             "trials-fractional", "trials-a-float", "trials-a-string", "trials-a-bool",
             "gen-n-users-fractional", "gen-fading-a-string", "system-p-h-a-bool",
-            "n-users-axis-infinity", "n-users-axis-minus-infinity"])
+            "n-users-axis-infinity", "n-users-axis-minus-infinity",
+            "values-past-the-largest-double", "n-users-axis-past-the-largest-double"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, spec, message):
         spec_path = write_json(tmp_path / "spec.json", spec)
         out = tmp_path / "out.csv"
@@ -298,7 +301,8 @@ class TestExitCodes:
 
 class TestNonFiniteInput:
     """NaN and Infinity parse as JSON numbers; they must end as exit code 2,
-    as must a boolean or a fraction where a number or an integer belongs.
+    as must a boolean or a fraction where a number or an integer belongs,
+    and an integer too large for a float.
 
     A return value from ``main`` (rather than an escaping exception) is what
     rules out a traceback.
@@ -320,6 +324,12 @@ class TestNonFiniteInput:
         pytest.param("params", "bandwidth", False,
                      "bad instance file: bandwidth must be a number, got False",
                      id="params-bandwidth-false"),
+        pytest.param("users", "initial_energy", 10 ** 400,
+                     f"bad instance file: initial_energy must be a number, got {10 ** 400}",
+                     id="users-initial_energy-past-the-largest-double"),
+        pytest.param("params", "p_max", -10 ** 400,
+                     f"bad instance file: p_max must be a number, got {-10 ** 400}",
+                     id="params-p_max-past-the-largest-double"),
     ])
     def test_solve_rejects(self, tmp_path, capsys, problem, alg, section, key, bad, message):
         payload = json.loads((DATA / "golden_instance.json").read_text())
@@ -347,6 +357,12 @@ class TestNonFiniteInput:
         pytest.param({"system": {"p_h": True, "p_max": 0.1}},
                      "error: bad generator config: p_h must be a number, got True",
                      id="system-p-h-a-bool"),
+        pytest.param({"radius": 10 ** 400},
+                     f"error: bad generator config: radius must be a number, got {10 ** 400}",
+                     id="radius-past-the-largest-double"),
+        pytest.param({"system": {"p_h": 10 ** 400, "p_max": 0.1}},
+                     f"error: bad generator config: p_h must be a number, got {10 ** 400}",
+                     id="system-p-h-past-the-largest-double"),
     ])
     def test_gen_rejects(self, tmp_path, capsys, override, message):
         config_path = write_json(tmp_path / "gen.json", base_gen_dict(**override))

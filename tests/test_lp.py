@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from wpcn_sched import GenConfig, SystemParams, sample
 from wpcn_sched import lp as lp_module
 from wpcn_sched.lp import (
     FEASIBILITY_TOL,
@@ -286,38 +287,51 @@ class TestCertifiedStart:
     def no_pivoting(self, monkeypatch):
         monkeypatch.setattr(lp_module, "_run_simplex", self.no_simplex)
 
-    @pytest.mark.parametrize("c, a, b, start, x", [
+    @pytest.mark.parametrize("c, a, b, start, x, path", [
         # x0 + x1 <= 1 and x0 <= 0.3, both tight at the optimum
-        ([2.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.3], (1, 0), [0.3, 0.7]),
+        ([2.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.3], (1, 0), [0.3, 0.7], "certified"),
         # x0 >= 1 would need phase 1 from the slack basis
-        ([1.0, 2.0], [[-1.0, 0.0], [1.0, 1.0]], [-1.0, 3.0], (0, 1), [1.0, 2.0]),
-    ], ids=["shared-budget", "negative-rhs"])
+        ([1.0, 2.0], [[-1.0, 0.0], [1.0, 1.0]], [-1.0, 3.0], (0, 1), [1.0, 2.0], "certified"),
+        # (1, 1) is feasible, but x1 <= 1 has dual -1: slack 1 replaces x1,
+        # and (x0, s1) = (1, 1) certifies (x1 prices out at -1)
+        ([1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], (0, 1), [1.0, 0.0], "repaired"),
+    ], ids=["shared-budget", "negative-rhs", "repaired-slack"])
     def test_optimal_start_is_returned_without_pivoting(self, no_pivoting, c, a, b,
-                                                        start, x):
+                                                        start, x, path):
         problem = lp(c, a, b, start=start)
         solution = solve(problem)
         assert solution.status is LpStatus.OPTIMAL
+        assert solution.path == path
         assert solution.x.tolist() == pytest.approx(x, abs=1e-15)
         assert solution.objective_value == float(problem.objective @ solution.x)
 
-    @pytest.mark.parametrize("c, a, b, start", [
+    @pytest.mark.parametrize("c, a, b, start, path", [
         # x0 + x1 = 1 and x0 - x1 = 2 meet at (1.5, -0.5)
-        ([2.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 2.0], (0, 1)),
-        # (1, 1) is feasible, but loosening x1 <= 1 gains (its dual is -1)
-        ([1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], (0, 1)),
+        ([2.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 2.0], (0, 1), "pivoted"),
+        # (1, 1) is feasible, but loosening x1 <= 1 gains (its dual is -1);
+        # the repair finds the cold solve's vertex
+        ([1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], (0, 1), "repaired"),
         # x0 = 1 is feasible, but x1 prices out at 2 - 1 = 1
-        ([1.0, 2.0], [[1.0, 1.0]], [1.0], (0,)),
+        ([1.0, 2.0], [[1.0, 1.0]], [1.0], (0,), "pivoted"),
         # the two rows are parallel: no basis
-        ([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], (0, 1)),
+        ([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], (0, 1), "pivoted"),
         # needs phase 1 (x0 >= 1), and the start vertex (1, -1) is negative
-        ([-1.0, -1.0], [[-1.0, 0.0], [1.0, -1.0]], [-1.0, 2.0], (0, 1)),
+        ([-1.0, -1.0], [[-1.0, 0.0], [1.0, -1.0]], [-1.0, 2.0], (0, 1), "pivoted"),
+        # (0, 0.5) has duals (-0.5, 1); after slack 0 replaces x0, the
+        # vertex (s0, x1) = (0, 0.5) has duals (0, 0.5) and x0 prices out at
+        # 2 - 0.5 = 1.5
+        ([2.0, 1.0], [[-2.0, 2.0], [1.0, 2.0]], [1.0, 1.0], (0, 1), "pivoted"),
+        # (0, 2) has duals (-1, 0); after slack 0 replaces x0, the vertex
+        # (s0, x1) = (0, 2) has duals (0, -1): a new negative dual
+        ([1.0, -1.0], [[-1.0, 1.0], [2.0, 1.0]], [2.0, 2.0], (0, 1), "pivoted"),
     ], ids=["primal-infeasible", "dual-infeasible-slack", "dual-infeasible-column",
-            "singular", "phase-one"])
-    def test_failed_certificate_falls_back_to_the_cold_solve(self, c, a, b, start):
+            "singular", "phase-one", "repair-prices-out", "repair-dual-negative"])
+    def test_failed_certificate_falls_back_to_the_cold_solve(self, c, a, b, start, path):
         problem = lp(c, a, b, start=start)
         warm = solve(problem)
         cold = solve(dataclasses.replace(problem, start=None))
         assert warm.status is cold.status is LpStatus.OPTIMAL
+        assert (warm.path, cold.path) == (path, "pivoted")
         assert warm.x.tobytes() == cold.x.tobytes()
         assert warm.objective_value == cold.objective_value
         oracle = vertex_enum_max(problem.objective, problem.constraint_matrix,
@@ -344,3 +358,24 @@ class TestCertifiedStart:
         assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
         assert np.allclose(warm.x, cold.x, rtol=0.0, atol=1e-12)
         assert (warm.x > 0.0).all()
+        assert warm.path == "certified"
+
+    def test_throughput_lp_repairs_without_pivoting(self, monkeypatch):
+        # A pinned N=6 instance in the benchmark's regime (hap_power 8) where
+        # the all-slots-basic vertex has one negative dual, on user 4's row:
+        # the optimum gives user 4 no time and leaves its row slack.
+        instance = sample(GenConfig(n_users=6, seed=0, system=SystemParams(p_h=8.0, p_max=0.1),
+                                    battery_max=0.001, min_distance=1.0))
+        problem = throughput_lp(instance, [1, 2, 3, 4, 5, 6])
+        cold = solve(dataclasses.replace(problem, start=None))
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "_run_simplex", self.no_simplex)
+            warm = solve(problem)
+        assert warm.status is LpStatus.OPTIMAL
+        assert warm.path == "repaired"
+        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
+        dropped = warm.x == 0.0
+        assert dropped.tolist() == [False, False, False, False, True, False, False]
+        assert (cold.x[dropped] == 0.0).all()
+        slack = problem.rhs - problem.constraint_matrix @ warm.x
+        assert (slack[dropped] > 0.0).all()

@@ -299,6 +299,11 @@ class TestSharedHelpers:
         (GenConfig, {"seed": 1.0}, "seed must be an integer, got 1.0"),
         (GenConfig, {"n_users": False}, "n_users must be an integer, got False"),
         (GenConfig, {"fading": 1}, "fading must be true or false, got 1"),
+        # the least integers that float() cannot convert
+        (UserProfile, {"initial_energy": 2 ** 1024 - 2 ** 970},
+         f"initial_energy must be a number, got {2 ** 1024 - 2 ** 970}"),
+        (GenConfig, {"radius": -(2 ** 1024 - 2 ** 970)},
+         f"radius must be a number, got {-(2 ** 1024 - 2 ** 970)}"),
     ])
     def test_check_types_rejects(self, cls, data, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -308,6 +313,8 @@ class TestSharedHelpers:
         (UserProfile, {"uplink_gain": 1, "downlink_gain": 0.5, "eh_slope": None}),
         (GenConfig, {"n_users": 3, "seed": 0, "fading": False, "system": "unchecked"}),
         (GenConfig, {"unknown": True}),
+        # the largest integer that float() rounds to the largest double
+        (UserProfile, {"initial_energy": 2 ** 1024 - 2 ** 970 - 1}),
     ])
     def test_check_types_accepts(self, cls, data):
         check_types(cls, data)
