@@ -6,13 +6,13 @@ solves the square basis system for the vertex and its duals, and returns
 that vertex when it is nonnegative and no nonbasic reduced cost exceeds
 FEASIBILITY_TOL, the simplex's own optimality test. The throughput LPs of
 the STM solver almost always have such a vertex (every slot basic, every
-row tight), and one certificate costs two small dense solves where the
-simplex would take one pivot per row. When only some duals fail (are
-negative), each such row's column leaves the basis for the row's slack and
-the result is certified once more: in a throughput LP, those users get no
-time. A singular basis or any other failure falls back to the simplex
-below, started from the slack basis, so the result never depends on the
-guess being right.
+row tight), and one certificate costs one stacked LAPACK solve of the
+basis system and its transpose, where the simplex would take one pivot per
+row. When only some duals fail (are negative), each such row's column
+leaves the basis for the row's slack and the result is certified once more:
+in a throughput LP, those users get no time. A singular basis or any other
+failure falls back to the simplex below, started from the slack basis, so
+the result never depends on the guess being right.
 
 The simplex is a two-phase tableau method with Bland's anti-cycling rule.
 The solver's LPs have one row per user plus the frame budget (2 to about
@@ -74,7 +74,7 @@ class LpProblem:
         if a.shape != (b.size, c.size):
             raise ValueError(
                 f"inconsistent dimensions: A is {a.shape}, c has {c.size}, b has {b.size}")
-        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        if not np.isfinite(np.concatenate((a.ravel(), b, c))).all():
             raise ValueError("all entries must be finite")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", a)
@@ -82,7 +82,8 @@ class LpProblem:
         if self.start is not None:
             start = tuple(map(operator.index, self.start))
             m, n = a.shape
-            if len(start) != m or len(set(start)) != m or not all(0 <= j < n for j in start):
+            if len(start) != m or len(set(start)) != m or (
+                    m and not 0 <= min(start) <= max(start) < n):
                 raise ValueError(f"start must name {m} distinct columns in [0, {n}), "
                                  f"got {self.start!r}")
             object.__setattr__(self, "start", start)
@@ -90,12 +91,14 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """``path``: "certified" (the start), "repaired" (its repair) or "pivoted"."""
+    """``path``: "certified" (the start), "repaired" (its repair) or "pivoted".
+    ``pivots``: simplex pivots over both phases, 0 unless ``path`` is "pivoted"."""
 
     status: LpStatus
     x: np.ndarray | None = None
     objective_value: float | None = None
     path: str = "pivoted"
+    pivots: int = 0
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -140,20 +143,21 @@ def _entering_column(reduced: np.ndarray) -> int | None:
     return entering if improving[entering] else None
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enterable: int) -> bool:
-    """Pivot until optimal (returns True) or unbounded (returns False).
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enterable: int) -> tuple[bool, int]:
+    """Pivot until optimal (True) or unbounded (False); also returns the
+    number of pivots made.
 
     The objective row must hold the reduced costs of the current basis;
     only the first ``n_enterable`` columns may enter.
     """
     reduced = tableau[-1, :n_enterable]   # a view: each pivot updates it
-    for _ in range(_MAX_ITERATIONS):
+    for pivots in range(_MAX_ITERATIONS):
         entering = _entering_column(reduced)
         if entering is None:
-            return True
+            return True, pivots
         leaving = _leaving_row(tableau, basis, entering)
         if leaving is None:
-            return False
+            return False, pivots
         _pivot(tableau, basis, leaving, entering)
     raise NumericalBreakdown("iteration limit reached; simplex is not converging")
 
@@ -173,27 +177,34 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     """
     a = problem.constraint_matrix
     c = problem.objective
+    m = a.shape[0]
     cols = np.array(problem.start, dtype=np.intp)   # the basic structural columns...
     rows = slice(None)                              # ...and the rows they are basic in
-    basis_matrix = a[:, cols]
-    basic_costs = c[cols]
+    # B x = b and B^T y = c_B as one stacked solve, filled straight from A
+    # (start was range-checked, so mode="clip" never clips).
+    lhs = np.empty((2, m, m))
+    basis = lhs[0]
+    np.take(a, cols, axis=1, out=basis, mode="clip")
+    lhs[1] = basis.T
+    rhs = np.empty((2, m, 1))
+    rhs[0, :, 0] = problem.rhs
+    rhs[1, :, 0] = c[cols]
     path = "certified"
     while True:
         try:
-            x_basic = np.linalg.solve(basis_matrix, problem.rhs)
-            # min >= 0 and max < inf: all entries finite and nonnegative (the
-            # initial 0 covers m = 0). A NaN fails every comparison.
-            if not 0.0 <= x_basic.min(initial=0.0) <= x_basic.max(initial=0.0) < np.inf:
-                return None
-            duals = np.linalg.solve(basis_matrix.T, basic_costs)
+            solution = np.linalg.solve(lhs, rhs)[:, :, 0]   # [x_B, y]
         except np.linalg.LinAlgError:
             return None
-        lowest = duals.min(initial=0.0)
-        if not -np.inf < lowest <= duals.max(initial=0.0) < np.inf:
+        # x_B >= 0 and y > -inf by their minima, neither +inf by the joint
+        # maximum (the initial 0s cover m = 0). A NaN fails every comparison.
+        x_low, lowest = solution.min(axis=1, initial=0.0).tolist()
+        if not (0.0 <= x_low and -np.inf < lowest and solution.max(initial=0.0) < np.inf):
             return None
+        x_basic = solution[0]
+        duals = solution[1]
         reduced = c - duals @ a
         reduced[cols] = 0.0
-        if not (reduced <= FEASIBILITY_TOL).all():
+        if not reduced.max(initial=0.0) <= FEASIBILITY_TOL:
             return None
         if lowest >= -FEASIBILITY_TOL:
             x = np.zeros(c.size)
@@ -207,9 +218,10 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
         dropped = duals < -FEASIBILITY_TOL
         rows = (~dropped).nonzero()[0]
         cols = cols[rows]
-        basis_matrix[:, dropped] = 0.0
-        basis_matrix[dropped, dropped] = 1.0
-        basic_costs[dropped] = 0.0
+        basis[:, dropped] = 0.0
+        lhs[1, dropped] = 0.0
+        lhs[:, dropped, dropped] = 1.0
+        rhs[1, dropped] = 0.0
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -259,6 +271,7 @@ def solve(problem: LpProblem) -> LpSolution:
     tableau[:m, -1] = np.abs(b)
     basis = n + np.arange(m)
 
+    pivots = 0
     if n_art:
         tableau[art_rows, :-1] *= -1.0
         tableau[art_rows, n + m + np.arange(n_art)] = 1.0
@@ -266,10 +279,10 @@ def solve(problem: LpProblem) -> LpSolution:
         phase1_costs = np.zeros(width - 1)
         phase1_costs[n + m:] = -1.0  # maximize -(sum of artificials)
         tableau[-1, :-1] = phase1_costs - phase1_costs[basis] @ tableau[:-1, :-1]
-        bounded = _run_simplex(tableau, basis, n + m)  # artificials may only leave
+        bounded, pivots = _run_simplex(tableau, basis, n + m)  # artificials may only leave
         assert bounded, "phase 1 objective is bounded by construction"
         if float(phase1_costs[basis] @ tableau[:-1, -1]) < -FEASIBILITY_TOL:
-            return LpSolution(status=LpStatus.INFEASIBLE)
+            return LpSolution(status=LpStatus.INFEASIBLE, pivots=pivots)
         # Drive leftover zero-valued artificials out of the basis. Every row
         # has its own slack column, so in exact arithmetic a pivot exists.
         for r in (basis >= n + m).nonzero()[0]:
@@ -279,17 +292,20 @@ def solve(problem: LpProblem) -> LpSolution:
                 raise NumericalBreakdown(
                     f"row {r}: no pivot above {PIVOT_TOL} drives its artificial out")
             _pivot(tableau, basis, r, col)
+            pivots += 1
         costs = np.zeros(width - 1)
         costs[:n] = c
         tableau[-1, :-1] = costs - costs[basis] @ tableau[:-1, :-1]
     else:
         tableau[-1, :n] = c  # the all-slack basis costs nothing: no pricing
 
-    if not _run_simplex(tableau, basis, n + m):  # artificial columns never enter
-        return LpSolution(status=LpStatus.UNBOUNDED)
+    optimal, more = _run_simplex(tableau, basis, n + m)  # artificial columns never enter
+    pivots += more
+    if not optimal:
+        return LpSolution(status=LpStatus.UNBOUNDED, pivots=pivots)
 
     full = np.zeros(n + m)
     full[basis] = tableau[:-1, -1]
     x = full[:n]
     return LpSolution(status=LpStatus.OPTIMAL, x=x,
-                      objective_value=float(c @ x))
+                      objective_value=float(c @ x), pivots=pivots)

@@ -402,7 +402,7 @@ def layout(tau0: float, pairs: Iterable[tuple[int, float]]) -> Schedule:
     slots = []
     t = tau0
     for user, duration in pairs:
-        slots.append(Slot(user=user, start=t, duration=duration))
+        slots.append(Slot(user, t, duration))
         t += duration
     return Schedule(tau0=tau0, slots=slots)
 

@@ -19,6 +19,8 @@ from .model import NetworkInstance, SystemParams, UserProfile, from_dict, requir
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng; pinned by golden tests
 
+MAX_USERS = 100_000  # far above the studied sizes (up to 100); bounds sample's per-user loop
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -70,6 +72,8 @@ class GenConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
+        if self.n_users > MAX_USERS:
+            raise ValueError(f"n_users must be at most {MAX_USERS}, got {self.n_users}")
         if not (self.radius > 0 and self.ref_distance > 0):
             raise ValueError("radius and ref_distance must be positive")
         if self.shadow_sigma_db < 0 or self.battery_max < 0:

@@ -82,13 +82,13 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int]) -> lp.LpProbl
     users = [instance.users[i - 1] for i in order]
     c = np.array([0.0] + [rate(params, u) for u in users])
     b = np.array([FRAME_LENGTH] + [u.initial_energy for u in users])
-    harvest = np.array([0.0] + [harvest_rate(params, u) for u in users])
+    earned = np.array([0.0] + [-harvest_rate(params, u) for u in users])
 
     # Row k >= 1 spends p_max in its own slot and earns what is harvested
     # during tau0 and every slot up to its own; row 0 is the frame budget
     # tau0 + sum tau_i <= frame.
     k = np.arange(c.size)
-    a = np.where(k <= k[:, None], -harvest[:, None], 0.0)
+    a = np.where(k <= k[:, None], earned[:, None], 0.0)
     a[0] = 1.0
     a.ravel()[c.size + 1::c.size + 1] += params.p_max   # diagonal below row 0
     return lp.LpProblem(objective=c, constraint_matrix=a, rhs=b,
@@ -110,11 +110,17 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int]) -> StmSolut
         raise LpFailure(f"time-allocation LP came back {solution.status.value}")
 
     x = solution.x.tolist()
-    schedule = layout(max(0.0, x[0]), [(i, d) for i, d in zip(order, x[1:]) if d > 0.0])
-    rates = dict(zip(order, problem.objective[1:].tolist()))  # the LP's per-slot rates
-    throughput = sum(s.duration * rates[s.user] for s in schedule.slots)
-    scheduled = tuple(sorted(s.user for s in schedule.slots))
-    return StmSolution(schedule=schedule, throughput=throughput, scheduled_users=scheduled)
+    scheduled, pairs = [], []
+    throughput = 0.0
+    for i, d, r in zip(order, x[1:], problem.objective[1:].tolist()):  # the LP's per-slot rates
+        if d > 0.0:
+            scheduled.append(i)
+            pairs.append((i, d))
+            throughput += d * r
+    schedule = layout(max(0.0, x[0]), pairs)
+    scheduled.sort()
+    return StmSolution(schedule=schedule, throughput=throughput,
+                       scheduled_users=tuple(scheduled))
 
 
 def brute_force_stm(instance: NetworkInstance) -> StmSolution:

@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 
 from wpcn_sched import GenConfig, NetworkInstance, SystemParams, UserProfile, sample
+from wpcn_sched.lp import FEASIBILITY_TOL
 
 # -- exact hand-built instances ----------------------------------------------
 # With bandwidth 2^20 Hz, noise density 2^-20 W/Hz and no self-interference,
@@ -155,3 +156,43 @@ def vertex_enum_max(c: np.ndarray, a: np.ndarray, b: np.ndarray,
             if best is None or value > best:
                 best = value
     return best
+
+
+def two_solve_certificate(problem) -> tuple[np.ndarray, str] | None:
+    """``lp._certified_start`` as two separate dense solves with one
+    reduction per test: the reference its stacked form must match bit for
+    bit, rejections included."""
+    a = problem.constraint_matrix
+    c = problem.objective
+    cols = np.array(problem.start, dtype=np.intp)
+    rows = slice(None)
+    basis_matrix = a[:, cols]
+    basic_costs = c[cols]
+    path = "certified"
+    while True:
+        try:
+            x_basic = np.linalg.solve(basis_matrix, problem.rhs)
+            if not (np.isfinite(x_basic).all() and (x_basic >= 0.0).all()):
+                return None
+            duals = np.linalg.solve(basis_matrix.T, basic_costs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(duals).all():
+            return None
+        reduced = c - duals @ a
+        reduced[cols] = 0.0
+        if not (reduced <= FEASIBILITY_TOL).all():
+            return None
+        if (duals >= -FEASIBILITY_TOL).all():
+            x = np.zeros(c.size)
+            x[cols] = x_basic[rows]
+            return x, path
+        if path == "repaired":
+            return None
+        path = "repaired"
+        dropped = duals < -FEASIBILITY_TOL
+        rows = (~dropped).nonzero()[0]
+        cols = cols[rows]
+        basis_matrix[:, dropped] = 0.0
+        basis_matrix[dropped, dropped] = 1.0
+        basic_costs[dropped] = 0.0

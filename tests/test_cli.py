@@ -20,6 +20,7 @@ from wpcn_sched.cli import (
     write_csv,
     write_jsonl,
 )
+from wpcn_sched.netgen import MAX_USERS
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -93,12 +94,17 @@ class TestSpecValidation:
          "n_users axis values must be positive integers"),
         (base_spec_dict(values=[10 ** 400]), "values must be a list of numbers"),
         (base_spec_dict(axis="n_users", values=[10 ** 400]), "values must be a list of numbers"),
+        (base_spec_dict(axis="n_users", values=[2, 1e300], oracle=False),
+         f"n_users must be at most {MAX_USERS}, got {int(1e300)}"),
+        (base_spec_dict(gen=base_gen_dict(n_users=MAX_USERS + 1)),
+         f"n_users must be at most {MAX_USERS}, got {MAX_USERS + 1}"),
     ], ids=["negative-hap-power", "values-not-a-list", "seed-not-an-integer",
             "seed-is-a-bool", "seed-negative", "oracle-a-string", "oracle-a-number",
             "trials-fractional", "trials-a-float", "trials-a-string", "trials-a-bool",
             "gen-n-users-fractional", "gen-fading-a-string", "system-p-h-a-bool",
             "n-users-axis-infinity", "n-users-axis-minus-infinity",
-            "values-past-the-largest-double", "n-users-axis-past-the-largest-double"])
+            "values-past-the-largest-double", "n-users-axis-past-the-largest-double",
+            "n-users-axis-above-the-bound", "gen-n-users-above-the-bound"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, spec, message):
         spec_path = write_json(tmp_path / "spec.json", spec)
         out = tmp_path / "out.csv"
@@ -363,6 +369,14 @@ class TestNonFiniteInput:
         pytest.param({"system": {"p_h": 10 ** 400, "p_max": 0.1}},
                      f"error: bad generator config: p_h must be a number, got {10 ** 400}",
                      id="system-p-h-past-the-largest-double"),
+        pytest.param({"n_users": 10 ** 400},
+                     f"error: bad generator config: n_users must be at most {MAX_USERS}, "
+                     f"got {10 ** 400}",
+                     id="n-users-past-the-largest-double"),
+        pytest.param({"n_users": MAX_USERS + 1},
+                     f"error: bad generator config: n_users must be at most {MAX_USERS}, "
+                     f"got {MAX_USERS + 1}",
+                     id="n-users-above-the-bound"),
     ])
     def test_gen_rejects(self, tmp_path, capsys, override, message):
         config_path = write_json(tmp_path / "gen.json", base_gen_dict(**override))

@@ -16,7 +16,7 @@ from wpcn_sched.lp import (
 )
 from wpcn_sched.stm import throughput_lp
 
-from helpers import random_instance, vertex_enum_max
+from helpers import random_instance, two_solve_certificate, vertex_enum_max
 
 
 def lp(c, a, b, start=None) -> LpProblem:
@@ -46,6 +46,8 @@ class TestProblemValidation:
             lp([np.inf], [[1.0]], [1.0])
         with pytest.raises(ValueError):
             lp([1.0], [[np.nan]], [1.0])
+        with pytest.raises(ValueError):
+            lp([1.0], [[1.0]], [-np.inf])
 
     @pytest.mark.parametrize("start", [(0,), (0, 0), (0, 2), (-1, 0), (0, 1, 2)],
                              ids=["too-few", "repeated", "past-the-end", "negative",
@@ -301,7 +303,7 @@ class TestCertifiedStart:
         problem = lp(c, a, b, start=start)
         solution = solve(problem)
         assert solution.status is LpStatus.OPTIMAL
-        assert solution.path == path
+        assert (solution.path, solution.pivots) == (path, 0)
         assert solution.x.tolist() == pytest.approx(x, abs=1e-15)
         assert solution.objective_value == float(problem.objective @ solution.x)
 
@@ -324,19 +326,64 @@ class TestCertifiedStart:
         # (0, 2) has duals (-1, 0); after slack 0 replaces x0, the vertex
         # (s0, x1) = (0, 2) has duals (0, -1): a new negative dual
         ([1.0, -1.0], [[-1.0, 1.0], [2.0, 1.0]], [2.0, 2.0], (0, 1), "pivoted"),
+        # the vertex (1, 1) is finite and nonnegative, but its first dual
+        # -1e200 / 1e-200 overflows to -inf
+        ([-1e200, 1.0], [[1e-200, 0.0], [0.0, 1.0]], [1e-200, 1.0], (0, 1), "pivoted"),
+        # the vertex (2, -0.0) is finite and nonnegative, but its first dual
+        # (2^500 - 1) / 2^-600 overflows to +inf
+        ([2.0 ** 500, 1.0], [[2.0 ** -600, 0.0], [1.0, 1.0]], [2.0 ** -599, 2.0], (0, 1),
+         "pivoted"),
+        # 1e200 / 1e-200 overflows: the vertex is (inf, 1)
+        ([-1.0, 1.0], [[1e-200, 0.0], [0.0, 1.0]], [1e200, 1.0], (0, 1), "pivoted"),
+        # back substitution meets inf - inf: the vertex is (nan, nan, inf)
+        ([-1.0, -1.0, 1.0], [[1.0, 1.0, 1.0], [0.0, 1e-200, 0.0], [0.0, 0.0, 1e-200]],
+         [1.0, 1e200, 1e200], (0, 1, 2), "pivoted"),
     ], ids=["primal-infeasible", "dual-infeasible-slack", "dual-infeasible-column",
-            "singular", "phase-one", "repair-prices-out", "repair-dual-negative"])
+            "singular", "phase-one", "repair-prices-out", "repair-dual-negative",
+            "dual-minus-inf", "dual-plus-inf", "vertex-inf", "vertex-nan"])
     def test_failed_certificate_falls_back_to_the_cold_solve(self, c, a, b, start, path):
         problem = lp(c, a, b, start=start)
         warm = solve(problem)
         cold = solve(dataclasses.replace(problem, start=None))
         assert warm.status is cold.status is LpStatus.OPTIMAL
         assert (warm.path, cold.path) == (path, "pivoted")
+        assert cold.pivots > 0
+        assert warm.pivots == (cold.pivots if path == "pivoted" else 0)
         assert warm.x.tobytes() == cold.x.tobytes()
         assert warm.objective_value == cold.objective_value
         oracle = vertex_enum_max(problem.objective, problem.constraint_matrix,
                                  problem.rhs)
         assert abs(warm.objective_value - oracle) < 1e-9
+
+    def test_stacked_certificate_matches_the_two_solve_reference(self):
+        # Random starts whose vertex is often nonnegative, with some entries
+        # scaled by 1e±160 so that vertices and duals also overflow to
+        # infinity or NaN: every outcome, rejections included, is the same.
+        rng = np.random.default_rng(8)
+        outcomes = set()
+        for _ in range(2000):
+            m = int(rng.integers(1, 6))
+            n = m + int(rng.integers(0, 3))
+            scale = 10.0 ** (rng.choice([0, 0, 0, -160, 160], size=(m, n))
+                             * (rng.random((m, n)) < 0.25))
+            a = rng.uniform(-1.0, 1.0, (m, n)) * scale * (rng.random((m, n)) < 0.85)
+            start = tuple(int(j) for j in rng.permutation(n)[:m])
+            vertex = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.8)
+            c = rng.uniform(-0.5, 1.0, n) * 10.0 ** rng.choice([0, 0, 0, 160], size=n)
+            with np.errstate(all="ignore"):   # overflows are part of the draw
+                b = a[:, list(start)] @ vertex + rng.uniform(-0.01, 0.05, m)
+                if not np.isfinite(b).all():
+                    continue
+                problem = lp(c, a, b, start=start)
+                stacked = lp_module._certified_start(problem)
+                reference = two_solve_certificate(problem)
+            if reference is None:
+                assert stacked is None
+            else:
+                assert stacked is not None and stacked[1] == reference[1]
+                assert stacked[0].tobytes() == reference[0].tobytes()
+            outcomes.add(None if stacked is None else stacked[1])
+        assert outcomes == {None, "certified", "repaired"}
 
     @pytest.mark.parametrize("c, a, b, start, status", [
         ([1.0], [[-1.0]], [1.0], (0,), LpStatus.UNBOUNDED),
@@ -379,3 +426,18 @@ class TestCertifiedStart:
         assert (cold.x[dropped] == 0.0).all()
         slack = problem.rhs - problem.constraint_matrix @ warm.x
         assert (slack[dropped] > 0.0).all()
+
+    def test_battery_rich_throughput_lp_still_pivots(self):
+        # One battery can fill the frame (p_max 0.01 W, batteries up to
+        # 0.01 J): the optimum has tau0 = 0, the all-slots-basic vertex is
+        # negative and the repair does not apply. A start that certifies or
+        # repairs this case shows up here as fewer pivots.
+        instance = sample(GenConfig(n_users=3, seed=0, system=SystemParams(p_h=1.0, p_max=0.01),
+                                    battery_max=0.01))
+        problem = throughput_lp(instance, [1, 2, 3])
+        solution = solve(problem)
+        assert solution.status is LpStatus.OPTIMAL
+        assert (solution.path, solution.pivots) == ("pivoted", 5)
+        assert solution.x[0] == 0.0
+        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix, problem.rhs)
+        assert solution.objective_value == pytest.approx(oracle, rel=1e-12)
