@@ -6,7 +6,7 @@ Subcommands:
     sweep  run a Monte Carlo sweep over an axis and write per-point CSV
 
 Exit codes: 0 success, 2 configuration or parse error (a rate that
-overflows included), 3 infeasible solve.
+overflows and a drawn link gain out of range included), 3 infeasible solve.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import shutil
 import sys
 from dataclasses import dataclass
 
-from . import mls, stm
+from . import mls, netgen, stm
 from .model import (
     BRUTE_FORCE_LIMIT,
     Infeasible,
@@ -182,9 +182,13 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
     if not values:
         return None, None
     n = len(values)
-    mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / n
-    return mean, math.sqrt(var)
+    try:
+        mean = math.fsum(values) / n
+        return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n)
+    except OverflowError:   # a sum or square past the largest double: scale into [-1, 1]
+        scale = max(map(abs, values))
+        mean, std = _mean_std([v / scale for v in values])
+        return mean * scale, std * scale
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
@@ -223,8 +227,6 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, int):
         return str(value)
     return f"{value:.12g}"
@@ -403,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, RateOverflow) as exc:  # ParseError included
+    except (ConfigError, RateOverflow, netgen.GainOutOfRange) as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Infeasible as exc:

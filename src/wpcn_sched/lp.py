@@ -1,4 +1,5 @@
-"""Small dense linear-program solver: maximize c.x subject to A.x <= b, x >= 0.
+"""Small dense linear-program solver: maximize c.x subject to A.x <= b, x >= 0,
+where b >= 0 (the frame length and the batteries, in the throughput LPs).
 
 A problem may name a candidate optimal basis (``LpProblem.start``: one
 structural column per constraint row). ``solve`` first certifies it: it
@@ -14,16 +15,13 @@ in a throughput LP, those users get no time. A singular basis or any other
 failure falls back to the simplex below, started from the slack basis, so
 the result never depends on the guess being right.
 
-The simplex is a two-phase tableau method with Bland's anti-cycling rule.
-The solver's LPs have one row per user plus the frame budget (2 to about
-100 rows), so a dense tableau with explicit tolerances beats pulling in an
-external solver: every numerical failure is surfaced. The reduced costs
-live in the tableau's last row, which each pivot updates with the same
-rank-1 elimination as every other row, so they are priced from scratch
-only at the start of a phase. Phase 1 ends by driving zero-valued
-artificials out of the basis; every row has its own slack column, so a
-pivot for that exists, and its absence is a NumericalBreakdown, never a
-dropped row."""
+The simplex is a one-phase tableau method with Bland's anti-cycling rule
+(Bland, Math. Oper. Res. 1977): b >= 0 makes the slack basis a feasible
+start. The solver's LPs have one row per user plus the frame budget (2 to
+about 100 rows), so a dense tableau with explicit tolerances beats pulling
+in an external solver: every numerical failure is surfaced. The reduced
+costs live in the tableau's last row, which starts as c (the slack basis
+costs nothing) and which each pivot updates like every other row."""
 
 from __future__ import annotations
 
@@ -41,18 +39,19 @@ _MAX_ITERATIONS = 100_000  # Bland's rule terminates; guard against bugs
 
 
 class NumericalBreakdown(RuntimeError):
-    """No acceptable pivot: every candidate is below the pivot tolerance."""
+    """The tolerances cannot resolve the LP: every candidate pivot is below
+    PIVOT_TOL, or a column too small to price was left out of the optimum."""
 
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     UNBOUNDED = "unbounded"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x  subject to  constraint_matrix . x <= rhs, x >= 0.
+    """maximize objective . x  subject to  constraint_matrix . x <= rhs, x >= 0,
+    with every entry finite and rhs >= 0 (so x = 0 is feasible).
 
     ``start``, if given, is a guess at an optimal basis: one distinct
     structural column per constraint row, so every row is tight at its
@@ -76,6 +75,8 @@ class LpProblem:
                 f"inconsistent dimensions: A is {a.shape}, c has {c.size}, b has {b.size}")
         if not np.isfinite(np.concatenate((a.ravel(), b, c))).all():
             raise ValueError("all entries must be finite")
+        if min(b.tolist(), default=0.0) < 0.0:   # cheaper than b.min() on 7 rows
+            raise ValueError(f"rhs must be >= 0, got {min(b.tolist())!r}")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", a)
         object.__setattr__(self, "rhs", b)
@@ -92,7 +93,7 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     """``path``: "certified" (the start), "repaired" (its repair) or "pivoted".
-    ``pivots``: simplex pivots over both phases, 0 unless ``path`` is "pivoted"."""
+    ``pivots``: simplex pivots, 0 unless ``path`` is "pivoted"."""
 
     status: LpStatus
     x: np.ndarray | None = None
@@ -135,25 +136,14 @@ def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None
     return None
 
 
-def _entering_column(reduced: np.ndarray) -> int | None:
-    """Bland's entering column: the smallest index with an improving reduced
-    cost, or ``None`` at an optimum."""
-    improving = reduced > FEASIBILITY_TOL
-    entering = int(improving.argmax())
-    return entering if improving[entering] else None
-
-
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enterable: int) -> tuple[bool, int]:
-    """Pivot until optimal (True) or unbounded (False); also returns the
-    number of pivots made.
-
-    The objective row must hold the reduced costs of the current basis;
-    only the first ``n_enterable`` columns may enter.
-    """
-    reduced = tableau[-1, :n_enterable]   # a view: each pivot updates it
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray) -> tuple[bool, int]:
+    """Pivot until optimal (True) or unbounded (False), and count the pivots.
+    The objective row must hold the reduced costs of the current basis."""
+    reduced = tableau[-1, :-1]   # a view: each pivot updates it
     for pivots in range(_MAX_ITERATIONS):
-        entering = _entering_column(reduced)
-        if entering is None:
+        improving = reduced > FEASIBILITY_TOL
+        entering = int(improving.argmax())   # Bland: the smallest improving column
+        if not improving[entering]:
             return True, pivots
         leaving = _leaving_row(tableau, basis, entering)
         if leaving is None:
@@ -227,29 +217,28 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
 def solve(problem: LpProblem) -> LpSolution:
     """Solve the LP; never silently absorbs a numerical failure.
 
-    Returns a basic feasible optimum (status OPTIMAL with ``x`` and
-    ``objective_value``), or status UNBOUNDED / INFEASIBLE.
+    Returns a basic optimum (status OPTIMAL with ``x`` and
+    ``objective_value``), or status UNBOUNDED; x = 0 is always feasible.
 
     A ``problem.start`` basis whose vertex, or whose repair from negative
     duals, is certified optimal is returned without pivoting. Otherwise (no
     start, a singular basis, a negative vertex, an improving reduced cost or
-    a failed repair) the two-phase simplex runs from the slack basis exactly
+    a failed repair) the one-phase simplex runs from the slack basis exactly
     as it does for a problem without a start. ``LpSolution.path`` says which
     path ran.
 
     The tolerances are absolute, not scaled to the data: a reduced cost
     must exceed FEASIBILITY_TOL to enter and a pivot must exceed PIVOT_TOL.
-    Keep the data scaled near 1: a variable whose column entries are all
-    far below the tolerances keeps a reduced cost below FEASIBILITY_TOL and
-    never enters, so an LP that needs it can come back OPTIMAL below its
-    true optimum.
+    Keep the data scaled near 1.
 
     Raises:
         NumericalBreakdown: a required pivot falls below PIVOT_TOL with no
-            alternative available.
+            alternative available, or the simplex stops while some column's
+            reduced cost, below FEASIBILITY_TOL, exceeds FEASIBILITY_TOL
+            times the column's largest entry: the column never entered only
+            because its entries are far below the tolerances.
     """
     a = problem.constraint_matrix
-    b = problem.rhs
     c = problem.objective
     m, n = a.shape
     if problem.start is not None:
@@ -259,50 +248,24 @@ def solve(problem: LpProblem) -> LpSolution:
             return LpSolution(status=LpStatus.OPTIMAL, x=x,
                               objective_value=float(c @ x), path=path)
 
-    # Rows with negative rhs are negated (flipping their slack sign) and get
-    # an artificial variable, so the initial basis is always feasible. The
-    # last row is the objective row.
-    art_rows = (b < 0.0).nonzero()[0]
-    n_art = art_rows.size
-    width = n + m + n_art + 1
+    # The slack basis is feasible (b >= 0) and costs nothing, so the last
+    # row, the objective row, starts as c with no pricing.
+    width = n + m + 1
     tableau = np.zeros((m + 1, width))
     tableau[:m, :n] = a
     tableau.ravel()[n:m * width:width + 1] = 1.0   # slack r sits in column n + r
-    tableau[:m, -1] = np.abs(b)
+    tableau[:m, -1] = np.abs(problem.rhs)   # b >= 0: abs turns -0.0 into +0.0
+    tableau[-1, :n] = c
     basis = n + np.arange(m)
 
-    pivots = 0
-    if n_art:
-        tableau[art_rows, :-1] *= -1.0
-        tableau[art_rows, n + m + np.arange(n_art)] = 1.0
-        basis[art_rows] = n + m + np.arange(n_art)
-        phase1_costs = np.zeros(width - 1)
-        phase1_costs[n + m:] = -1.0  # maximize -(sum of artificials)
-        tableau[-1, :-1] = phase1_costs - phase1_costs[basis] @ tableau[:-1, :-1]
-        bounded, pivots = _run_simplex(tableau, basis, n + m)  # artificials may only leave
-        assert bounded, "phase 1 objective is bounded by construction"
-        if float(phase1_costs[basis] @ tableau[:-1, -1]) < -FEASIBILITY_TOL:
-            return LpSolution(status=LpStatus.INFEASIBLE, pivots=pivots)
-        # Drive leftover zero-valued artificials out of the basis. Every row
-        # has its own slack column, so in exact arithmetic a pivot exists.
-        for r in (basis >= n + m).nonzero()[0]:
-            usable = np.abs(tableau[r, :n + m]) > PIVOT_TOL
-            col = int(usable.argmax())
-            if not usable[col]:
-                raise NumericalBreakdown(
-                    f"row {r}: no pivot above {PIVOT_TOL} drives its artificial out")
-            _pivot(tableau, basis, r, col)
-            pivots += 1
-        costs = np.zeros(width - 1)
-        costs[:n] = c
-        tableau[-1, :-1] = costs - costs[basis] @ tableau[:-1, :-1]
-    else:
-        tableau[-1, :n] = c  # the all-slack basis costs nothing: no pricing
-
-    optimal, more = _run_simplex(tableau, basis, n + m)  # artificial columns never enter
-    pivots += more
+    optimal, pivots = _run_simplex(tableau, basis)
     if not optimal:
         return LpSolution(status=LpStatus.UNBOUNDED, pivots=pivots)
+    hidden = tableau[-1, :n] > FEASIBILITY_TOL * np.abs(a).max(axis=0, initial=0.0)
+    if hidden.any():
+        raise NumericalBreakdown(
+            f"column {int(hidden.argmax())}: its reduced cost is below {FEASIBILITY_TOL} "
+            "but large next to its entries; rescale the LP")
 
     full = np.zeros(n + m)
     full[basis] = tableau[:-1, -1]

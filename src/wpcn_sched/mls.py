@@ -10,10 +10,12 @@ throughput solvers: :func:`model.best_order` and :func:`model.layout`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import NetworkInstance, Schedule, best_order, check_order, layout, s_min, tau_min
+from .model import (ENERGY_TOL, NetworkInstance, Schedule, best_order, check_order,
+                    energy_balance, harvest_rate, layout, s_min, tau_min)
 
 
 @dataclass(frozen=True)
@@ -30,24 +32,33 @@ def fixed_order_mls(instance: NetworkInstance, order: Sequence[int]) -> MlsSolut
     All waiting is moved to the front: the leading interval is the smallest
     tau0 such that every user's slot starts at or after its minimum start
     time, i.e. max over users of (s_min - sum of earlier durations), clamped
-    at zero. Slots then sit back-to-back.
+    at zero. Slots then sit back-to-back. A balance that replays below
+    -ENERGY_TOL (an ulp at large energies) starts the frame later to cover it.
 
     Raises:
         Infeasible: some user can never transmit (propagated from s_min).
     """
     check_order(order, instance.n_users)
     params = instance.params
-    durations = [tau_min(params, instance.user(i)) for i in order]
-    starts_min = [s_min(params, instance.user(i)) for i in order]
+    users = [instance.user(i) for i in order]
+    durations = [tau_min(params, user) for user in users]
+    starts_min = [s_min(params, user) for user in users]
 
-    tau0 = 0.0
-    elapsed = 0.0
+    tau0 = elapsed = 0.0
     for s, d in zip(starts_min, durations):
         tau0 = max(tau0, s - elapsed)
         elapsed += d
 
-    schedule = layout(tau0, zip(order, durations))
-    return MlsSolution(schedule=schedule, length=schedule.length)
+    while True:
+        schedule = layout(tau0, zip(order, durations))
+        # Only harvesting users replay a deficit: s_min checked the others' batteries.
+        delay = max((-balance / harvest_rate(params, user)
+                     for user, slot in zip(users, schedule.slots)
+                     if (balance := energy_balance(params, user, slot)) < -ENERGY_TOL),
+                    default=0.0)
+        if not delay:
+            return MlsSolution(schedule=schedule, length=schedule.length)
+        tau0 = math.nextafter(tau0 + delay, math.inf)
 
 
 def mlsa(instance: NetworkInstance) -> MlsSolution:

@@ -82,6 +82,8 @@ class SystemParams:
             raise ValueError("p_h, p_max and bandwidth must be positive")
         if self.noise_density < 0 or self.self_interference < 0:
             raise ValueError("noise_density and self_interference must be >= 0")
+        if not self.noise_density * self.bandwidth + self.self_interference * self.p_h > 0:
+            raise ValueError("noise_density * bandwidth + self_interference * p_h must be > 0")
         if not (self.eh_saturation > 0 and self.eh_slope > 0):
             raise ValueError("eh_saturation and eh_slope must be positive")
         if self.eh_threshold < 0:
@@ -221,10 +223,8 @@ def snr_coefficient(params: SystemParams, user: UserProfile) -> float:
     self-interference of the simultaneous downlink energy broadcast, so the
     coefficient is gain / (noise_density * bandwidth + self_interference * p_h).
     """
-    denom = params.noise_density * params.bandwidth + params.self_interference * params.p_h
-    if denom <= 0.0:
-        raise ValueError("noise plus self-interference power must be positive")
-    return user.uplink_gain / denom
+    return user.uplink_gain / (params.noise_density * params.bandwidth
+                               + params.self_interference * params.p_h)
 
 
 def rate(params: SystemParams, user: UserProfile) -> float:
@@ -273,6 +273,9 @@ def harvest_rate(params: SystemParams, user: UserProfile) -> float:
 def tau_min(params: SystemParams, user: UserProfile) -> float:
     """Shortest transmission time that fulfills the user's demand, in seconds.
 
+    demand / rate, raised an ulp at a time while rate * time falls short of
+    the demand by more than TRAFFIC_TOL, as an ulp of a 1e8-bit demand does.
+
     Raises:
         Infeasible: the rate is zero (underflowed) or too small for any
             representable time to carry the demand.
@@ -281,6 +284,8 @@ def tau_min(params: SystemParams, user: UserProfile) -> float:
     t = user.demand_bits / r if r > 0.0 else math.inf
     if math.isinf(t):
         raise Infeasible(f"rate {r!r} bit/s can never carry {user.demand_bits!r} bits")
+    while r * t < user.demand_bits - TRAFFIC_TOL:
+        t = math.nextafter(t, math.inf)
     return t
 
 
@@ -318,12 +323,20 @@ def s_min(params: SystemParams, user: UserProfile) -> float:
     return start
 
 
+def energy_balance(params: SystemParams, user: UserProfile, slot: Slot) -> float:
+    """Battery left when ``slot`` ends, in joules: the initial energy plus
+    what was harvested by then, less what the slot spent."""
+    spent = params.p_max * slot.duration
+    return user.initial_energy + harvest_rate(params, user) * slot.end - spent
+
+
 def validate(instance: NetworkInstance, schedule: Schedule,
              check_traffic: bool = False) -> FeasibilityReport:
     """Replay a schedule and check energy causality (and optionally traffic).
 
-    Energy causality per scheduled user i with slot [start, start+dur):
-    battery_i + harvest_i * (start + dur) - p_max * dur >= -ENERGY_TOL.
+    Energy causality per scheduled user i: its :func:`energy_balance` at
+    the end of its slot, battery_i + harvest_i * (start + dur) - p_max * dur,
+    is >= -ENERGY_TOL.
     With ``check_traffic``, every user of the instance must move its demand:
     rate_i * dur_i >= demand_i - TRAFFIC_TOL (zero duration if unscheduled).
     Unscheduled users trivially satisfy energy causality.
@@ -348,21 +361,16 @@ def validate(instance: NetworkInstance, schedule: Schedule,
         expected_start = slot.start + slot.duration
 
     params = instance.params
-    durations = {slot.user: slot.duration for slot in schedule.slots}
-    ends = {slot.user: slot.end for slot in schedule.slots}
+    slots = {slot.user: slot for slot in schedule.slots}
 
     energy_ok: dict[int, bool] = {}
     traffic_ok: dict[int, bool] = {}
     throughput = 0.0
     for i in range(1, n + 1):
         user = instance.users[i - 1]
-        dur = durations.get(i, 0.0)
-        if i in ends:
-            budget = (user.initial_energy + harvest_rate(params, user) * ends[i]
-                      - params.p_max * dur)
-            energy_ok[i] = budget >= -ENERGY_TOL
-        else:
-            energy_ok[i] = True
+        slot = slots.get(i)
+        dur = 0.0 if slot is None else slot.duration
+        energy_ok[i] = slot is None or energy_balance(params, user, slot) >= -ENERGY_TOL
         r = rate(params, user)
         throughput += dur * r
         if check_traffic:

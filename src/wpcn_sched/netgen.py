@@ -37,6 +37,10 @@ def derive_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+class GainOutOfRange(ValueError):
+    """A drawn link gain is not a positive finite number."""
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Knobs for one random network draw.
@@ -76,6 +80,8 @@ class GenConfig:
             raise ValueError(f"n_users must be at most {MAX_USERS}, got {self.n_users}")
         if not (self.radius > 0 and self.ref_distance > 0):
             raise ValueError("radius and ref_distance must be positive")
+        if self.radius > 1e150:   # radius ** 2 stays finite
+            raise ValueError(f"radius must be at most 1e+150 m, got {self.radius!r}")
         if self.shadow_sigma_db < 0 or self.battery_max < 0:
             raise ValueError("shadow_sigma_db and battery_max must be >= 0")
         if not self.demand_bits > 0:
@@ -103,13 +109,21 @@ def sample_gain(rng: np.random.Generator, distance: float, config: GenConfig) ->
 
     Shadowing multiplies the mean gain log-normally; Rayleigh fading of the
     amplitude then scales the power by a unit-mean exponential factor.
+    Settings that put the gain out of range raise GainOutOfRange.
     """
     shadow = rng.normal(0.0, config.shadow_sigma_db) if config.shadow_sigma_db > 0 else 0.0
-    gain = linear_gain(path_loss_db(distance, config.ref_distance,
-                                    config.ref_loss_db, config.path_loss_exp,
-                                    shadow))
+    try:
+        gain = linear_gain(path_loss_db(distance, config.ref_distance, config.ref_loss_db,
+                                        config.path_loss_exp, shadow))
+    except (OverflowError, ValueError):   # 10 ** x past the largest double; log10(0)
+        gain = math.nan
     if config.fading:
         gain *= rng.standard_exponential()
+    if not 0.0 < gain < math.inf:
+        raise GainOutOfRange(
+            f"link gain {gain!r} at {distance!r} m: ref_loss_db {config.ref_loss_db!r}, "
+            f"ref_distance {config.ref_distance!r}, path_loss_exp {config.path_loss_exp!r} "
+            f"or shadow_sigma_db {config.shadow_sigma_db!r} is out of range")
     return gain
 
 

@@ -377,6 +377,17 @@ class TestNonFiniteInput:
                      f"error: bad generator config: n_users must be at most {MAX_USERS}, "
                      f"got {MAX_USERS + 1}",
                      id="n-users-above-the-bound"),
+        pytest.param({"radius": 1e300},
+                     "error: bad generator config: radius must be at most 1e+150 m, got 1e+300",
+                     id="radius-whose-square-overflows"),
+        pytest.param({"shadow_sigma_db": 1e300}, "shadow_sigma_db 1e+300 is out of range",
+                     id="shadow-sigma-db-huge"),
+        pytest.param({"path_loss_exp": 1e300}, "path_loss_exp 1e+300 or",
+                     id="path-loss-exp-huge"),
+        pytest.param({"system": {"p_h": 1.0, "p_max": 0.1, "noise_density": 0.0,
+                                 "self_interference": 0.0}},
+                     "error: bad generator config: noise_density * bandwidth",
+                     id="no-receiver-noise"),
     ])
     def test_gen_rejects(self, tmp_path, capsys, override, message):
         config_path = write_json(tmp_path / "gen.json", base_gen_dict(**override))
@@ -392,6 +403,19 @@ class TestNonFiniteInput:
         assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
         assert "ref_loss_db must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_solve_rejects_no_receiver_noise(self, tmp_path, capsys):
+        # With no noise the SNR would divide by zero.
+        payload = json.loads((DATA / "golden_instance.json").read_text())
+        payload["params"].update(noise_density=0.0, self_interference=0.0)
+        instance_path = write_json(tmp_path / "instance.json", payload)
+        code = main(["solve", "--instance", instance_path, "--problem", "stm", "--alg", "mrsa"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert ("error: bad instance file: noise_density * bandwidth + self_interference"
+                in captured.err)
 
 
 class TestUnderflowedRate:
@@ -458,6 +482,42 @@ class TestRateOverflow:
         assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
         assert "error: rate overflows" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestLargeValues:
+    """Sweeps whose lengths or demands are far from the studied range still
+    end in a finite CSV and exit code 0."""
+
+    def test_lengths_near_the_largest_double(self, tmp_path):
+        # Lengths near 1e299 whose squared deviations overflow a double
+        spec_path = write_json(tmp_path / "spec.json",
+                               base_spec_dict(axis="user_power", values=[1e300], trials=2,
+                                              oracle=False))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        mlsa_mean, mlsa_std = (float(v) for v in row[3:5])
+        assert 1e298 < mlsa_mean < 1e301
+        assert 0.0 < mlsa_std < mlsa_mean
+
+    def test_mean_std_scales_past_an_overflow(self):
+        mean, std = cli_module._mean_std([1.5e300, 0.5e300])
+        assert mean == pytest.approx(1e300, rel=1e-15)
+        assert std == pytest.approx(0.5e300, rel=1e-15)
+        assert cli_module._mean_std([1.5, 0.5]) == (1.0, 0.5)
+
+    @pytest.mark.parametrize("demand", [1e7, 1e8, 1e12])
+    def test_large_demands_replay(self, tmp_path, demand):
+        # An ulp of a length-1e9 s frame's energy balance or of a 1e8-bit
+        # demand exceeds ENERGY_TOL or TRAFFIC_TOL; every schedule must
+        # still replay as feasible.
+        spec = {"axis": "hap_power", "values": [4], "trials": 50,
+                "gen": {"n_users": 6, "seed": 3, "demand_bits": demand, "min_distance": 1.0}}
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        out, raw = tmp_path / "out.csv", tmp_path / "raw.jsonl"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out), "--raw", str(raw)]) == 0
+        for text in (out.read_text(), raw.read_text()):
+            assert "nan" not in text.lower() and "infinity" not in text.lower()
 
 
 class TestAtomicWrites:

@@ -29,7 +29,14 @@ from wpcn_sched import (
     tau_min,
     validate,
 )
-from wpcn_sched.model import BRUTE_FORCE_LIMIT, best_order, check_types, layout, to_dict
+from wpcn_sched.model import (
+    BRUTE_FORCE_LIMIT,
+    TRAFFIC_TOL,
+    best_order,
+    check_types,
+    layout,
+    to_dict,
+)
 
 from helpers import (
     exact_params,
@@ -151,9 +158,17 @@ class TestSnrCoefficient:
         assert abs(snr_coefficient(params, user) - expected) < expected * 1e-12
 
     def test_zero_denominator_rejected(self):
-        params = make_params(noise_density=0.0, self_interference=0.0)
-        with pytest.raises(ValueError):
-            snr_coefficient(params, make_user())
+        # refused when the parameters are built, before any coefficient
+        with pytest.raises(ValueError, match="self_interference \\* p_h must be > 0"):
+            make_params(noise_density=0.0, self_interference=0.0)
+
+    @pytest.mark.parametrize("kw", [
+        dict(noise_density=1e-300, bandwidth=1e-30, self_interference=0.0),
+        dict(noise_density=0.0, self_interference=1e-300, p_h=1e-30),
+    ], ids=["noise-underflows", "self-interference-underflows"])
+    def test_underflowing_denominator_rejected(self, kw):
+        with pytest.raises(ValueError, match="self_interference \\* p_h must be > 0"):
+            make_params(**kw)
 
 
 class TestRate:
@@ -226,6 +241,22 @@ class TestPerUserQuantities:
         assert rate(params, user) > 0.0
         with pytest.raises(Infeasible):
             tau_min(params, user)
+
+    @pytest.mark.parametrize("demand", [1e2, 1e7, 1e8, 1e12, 1e20])
+    def test_tau_min_carries_the_demand_on_replay(self, demand):
+        # demand / rate can replay an ulp short of the demand, and an ulp of
+        # a demand above about 1e7 bits exceeds TRAFFIC_TOL
+        params = SystemParams(p_h=1.0, p_max=0.1)
+        for k in range(200):
+            user = make_user(uplink_gain=1e-6 * (1.0 + k / 7.0), demand_bits=demand)
+            r = rate(params, user)
+            t = tau_min(params, user)
+            assert r * t >= demand - TRAFFIC_TOL
+            quotient = demand / r
+            if r * quotient >= demand - TRAFFIC_TOL:
+                assert t == quotient
+            else:
+                assert quotient < t <= quotient * (1.0 + 1e-15)
 
     def test_energy_is_time_times_power(self):
         params = exact_params(p_max=0.1, harvest=2.0)

@@ -1,14 +1,16 @@
 """Output bytes pinned across versions of the package.
 
 The files under ``data/bytes`` are the exact outputs of ``gen``, ``solve``
-and ``sweep`` on the inputs below, plus the ``repr`` of large fixed-order
-throughput allocations. Refactors must reproduce them byte for byte; only a
+and ``sweep`` on the inputs below, plus the ``repr`` of fixed-order
+throughput allocations: large ones, and small battery-rich ones whose LPs
+take the simplex. Refactors must reproduce them byte for byte; only a
 change meant to alter the outputs may rewrite them, and its change log then
 says why. They were written on CPython 3.11 with numpy 2.4.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 
@@ -35,6 +37,10 @@ SOLVES = (("mls", "mlsa"), ("mls", "pdo"), ("mls", "opt"), ("stm", "mrsa"), ("st
 # benchmark's: the 50- and 100-user index orders take the repaired LP path.
 LARGE = ((25, 0), (50, 0), (100, 0), (100, 3))
 LARGE_GEN = {"battery_max": 0.001, "min_distance": 1.0}
+# Seeds of the battery-rich instances: one battery can fill the frame, the
+# optimum has tau0 = 0, and every order's LP takes the pivoted path.
+RICH = (0, 1, 2)
+RICH_GEN = {"n_users": 3, "system": {"p_h": 1.0, "p_max": 0.01}, "battery_max": 0.01}
 
 
 def fixed_order_lines() -> str:
@@ -52,6 +58,22 @@ def fixed_order_lines() -> str:
             path = lp.solve(stm.throughput_lp(instance, order)).path
             solution = stm.fixed_order_stm(instance, order)
             lines.append(f"n_users {n} seed {seed} order {name} path {path}")
+            lines.append(repr(solution.throughput))
+            lines.append(repr(solution.schedule.tau0))
+            lines.extend(repr(slot) for slot in solution.schedule.slots)
+    return "".join(line + "\n" for line in lines)
+
+
+def pivoted_lines() -> str:
+    """Path, pivot count, throughput, tau0 and every slot of ``fixed_order_stm``
+    on each battery-rich instance, in every order."""
+    lines = []
+    for seed in RICH:
+        instance = netgen.sample(netgen.config_from_dict({**RICH_GEN, "seed": seed}))
+        for order in itertools.permutations(range(1, instance.n_users + 1)):
+            result = lp.solve(stm.throughput_lp(instance, order))
+            solution = stm.fixed_order_stm(instance, order)
+            lines.append(f"seed {seed} order {order} path {result.path} pivots {result.pivots}")
             lines.append(repr(solution.throughput))
             lines.append(repr(solution.schedule.tau0))
             lines.extend(repr(slot) for slot in solution.schedule.slots)
@@ -84,6 +106,7 @@ def produce(workdir: pathlib.Path) -> dict[str, bytes]:
         outputs[raw_path.name] = raw_path.read_bytes()
 
     outputs["fixed_order_large.txt"] = fixed_order_lines().encode()
+    outputs["fixed_order_pivoted.txt"] = pivoted_lines().encode()
     return outputs
 
 
@@ -96,6 +119,7 @@ def outputs(tmp_path_factory):
     "gen_instance.json", "solve_gen_instance.txt",
     "sweep_hap_power.csv", "sweep_hap_power.jsonl",
     "sweep_n_users.csv", "sweep_n_users.jsonl", "fixed_order_large.txt",
+    "fixed_order_pivoted.txt",
 ])
 def test_output_matches_pinned_bytes(outputs, name):
     assert outputs[name] == (BYTES / name).read_bytes()
