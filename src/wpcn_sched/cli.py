@@ -296,7 +296,8 @@ def solve_one(instance: NetworkInstance, problem: str, algorithm: str) -> dict:
     """Run one algorithm and return a JSON-ready result with its replay report.
 
     Raises:
-        ConfigError: unknown problem/algorithm combination.
+        ConfigError: unknown problem/algorithm combination, or a throughput
+            past the largest double.
         Infeasible: the minimum-length problem has no solution.
     """
     solvers = {
@@ -311,6 +312,8 @@ def solve_one(instance: NetworkInstance, problem: str, algorithm: str) -> dict:
         raise ConfigError(f"no algorithm {algorithm!r} for problem {problem!r}")
     solution = solver(instance)
     report = _checked(instance, solution.schedule, problem == "mls")
+    if math.isinf(report.throughput):
+        raise ConfigError("throughput overflows: the demands sum past the largest double")
 
     result = {
         "problem": problem,

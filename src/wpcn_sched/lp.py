@@ -39,8 +39,9 @@ _MAX_ITERATIONS = 100_000  # Bland's rule terminates; guard against bugs
 
 
 class NumericalBreakdown(RuntimeError):
-    """The tolerances cannot resolve the LP: every candidate pivot is below
-    PIVOT_TOL, or a column too small to price was left out of the optimum."""
+    """The tolerances cannot resolve the LP: a pivot below PIVOT_TOL is the
+    only one or would bind first, or a column too small to price was left
+    out of the optimum."""
 
 
 class LpStatus(enum.Enum):
@@ -116,21 +117,29 @@ def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None
     variable index (Bland). ``None`` means the column is unbounded.
 
     Rows whose pivot element is positive but below PIVOT_TOL are never
-    eligible. If only such rows exist, entries of at most _RESIDUE_TOL times
-    the column's largest magnitude are round-off left by earlier pivots (a
-    zero in exact arithmetic), so the column is unbounded; any larger one may
-    be a genuine tiny pivot, and we refuse to guess.
+    eligible. Entries of at most _RESIDUE_TOL times the column's largest
+    magnitude are round-off left by earlier pivots (a zero in exact
+    arithmetic); any larger one may be a genuine tiny pivot. If only such
+    tiny rows exist, or one of them would bind before the chosen row, we
+    refuse to guess: skipping it would step past that row's constraint.
     """
     column = tableau[:-1, col]
-    candidates = (column > PIVOT_TOL).nonzero()[0]
+    rhs = tableau[:-1, -1]
+    eligible = column > PIVOT_TOL
+    tiny = ~eligible & (column > _RESIDUE_TOL * np.abs(column).max(initial=0.0))
+    candidates = eligible.nonzero()[0]
     if candidates.size:
-        ratios = tableau[candidates, -1] / column[candidates]
+        ratios = rhs[candidates] / column[candidates]
         # ratios[argmin] is ratios.min() without its Python-level wrapper
-        tied = candidates[ratios <= ratios[ratios.argmin()] + _RATIO_TIE_TOL]
+        best = ratios[ratios.argmin()]
+        if (rhs[tiny] < best * column[tiny]).any():
+            raise NumericalBreakdown(
+                f"entering column {col}: a pivot below {PIVOT_TOL} would bind first")
+        tied = candidates[ratios <= best + _RATIO_TIE_TOL]
         if tied.size == 1:
             return int(tied[0])
         return int(tied[basis[tied].argmin()])
-    if (column > _RESIDUE_TOL * np.abs(column).max(initial=0.0)).any():
+    if tiny.any():
         raise NumericalBreakdown(
             f"entering column {col}: only pivots below {PIVOT_TOL} available")
     return None
@@ -233,10 +242,12 @@ def solve(problem: LpProblem) -> LpSolution:
 
     Raises:
         NumericalBreakdown: a required pivot falls below PIVOT_TOL with no
-            alternative available, or the simplex stops while some column's
-            reduced cost, below FEASIBILITY_TOL, exceeds FEASIBILITY_TOL
-            times the column's largest entry: the column never entered only
-            because its entries are far below the tolerances.
+            alternative available, a row whose pivot falls below PIVOT_TOL
+            would bind before the chosen one, or the simplex stops while
+            some column's reduced cost, below FEASIBILITY_TOL, exceeds
+            FEASIBILITY_TOL times the column's largest entry: the column
+            never entered only because its entries are far below the
+            tolerances.
     """
     a = problem.constraint_matrix
     c = problem.objective

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import (ENERGY_TOL, NetworkInstance, Schedule, best_order, check_order,
-                    energy_balance, harvest_rate, layout, s_min, tau_min)
+from .model import (ENERGY_TOL, NetworkInstance, Schedule, _energy_balance, _s_min,
+                    best_order, check_order, harvest_rate, layout, s_min, tau_min)
 
 
 @dataclass(frozen=True)
@@ -36,25 +36,28 @@ def fixed_order_mls(instance: NetworkInstance, order: Sequence[int]) -> MlsSolut
     -ENERGY_TOL (an ulp at large energies) starts the frame later to cover it.
 
     Raises:
-        Infeasible: some user can never transmit (propagated from s_min).
+        Infeasible: some user can never transmit (propagated from s_min), or
+            the frame would end past the largest double.
     """
     check_order(order, instance.n_users)
     params = instance.params
     users = [instance.user(i) for i in order]
+    # Each closed form once per user: s_min and the replay take these values.
     durations = [tau_min(params, user) for user in users]
-    starts_min = [s_min(params, user) for user in users]
+    harvests = [harvest_rate(params, user) for user in users]
 
     tau0 = elapsed = 0.0
-    for s, d in zip(starts_min, durations):
-        tau0 = max(tau0, s - elapsed)
+    for user, d, c in zip(users, durations, harvests):
+        tau0 = max(tau0, _s_min(params, user, d, c) - elapsed)
         elapsed += d
 
     while True:
         schedule = layout(tau0, zip(order, durations))
-        # Only harvesting users replay a deficit: s_min checked the others' batteries.
-        delay = max((-balance / harvest_rate(params, user)
-                     for user, slot in zip(users, schedule.slots)
-                     if (balance := energy_balance(params, user, slot)) < -ENERGY_TOL),
+        # validate's energy_balance arithmetic. Only harvesting users replay a
+        # deficit: s_min checked the others' batteries.
+        delay = max((-balance / c
+                     for user, c, slot in zip(users, harvests, schedule.slots)
+                     if (balance := _energy_balance(params, user, c, slot)) < -ENERGY_TOL),
                     default=0.0)
         if not delay:
             return MlsSolution(schedule=schedule, length=schedule.length)

@@ -306,9 +306,12 @@ def s_min(params: SystemParams, user: UserProfile) -> float:
     Raises:
         Infeasible: harvest rate is zero and the battery is too small.
     """
-    t_min = tau_min(params, user)
+    return _s_min(params, user, tau_min(params, user), harvest_rate(params, user))
+
+
+def _s_min(params: SystemParams, user: UserProfile, t_min: float, c: float) -> float:
+    """:func:`s_min` from the user's ``tau_min`` and harvest rate ``c``."""
     e_req = t_min * params.p_max
-    c = harvest_rate(params, user)
     if c == 0.0:
         if user.initial_energy >= e_req:
             return -t_min
@@ -326,8 +329,13 @@ def s_min(params: SystemParams, user: UserProfile) -> float:
 def energy_balance(params: SystemParams, user: UserProfile, slot: Slot) -> float:
     """Battery left when ``slot`` ends, in joules: the initial energy plus
     what was harvested by then, less what the slot spent."""
+    return _energy_balance(params, user, harvest_rate(params, user), slot)
+
+
+def _energy_balance(params: SystemParams, user: UserProfile, c: float, slot: Slot) -> float:
+    """:func:`energy_balance` from the user's harvest rate ``c``."""
     spent = params.p_max * slot.duration
-    return user.initial_energy + harvest_rate(params, user) * slot.end - spent
+    return user.initial_energy + c * slot.end - spent
 
 
 def validate(instance: NetworkInstance, schedule: Schedule,
@@ -406,12 +414,19 @@ def best_order(instance: NetworkInstance,
 
 def layout(tau0: float, pairs: Iterable[tuple[int, float]]) -> Schedule:
     """Schedule of (user, duration) pairs in slot order, back to back after
-    the leading unallocated interval. Zero durations are kept."""
+    the leading unallocated interval. Zero durations are kept.
+
+    Raises:
+        Infeasible: the frame would end past the largest double.
+    """
     slots = []
     t = tau0
     for user, duration in pairs:
+        end = t + duration
+        if math.isinf(end):
+            raise Infeasible(f"slot of user {user} would end past the largest double")
         slots.append(Slot(user, t, duration))
-        t += duration
+        t = end
     return Schedule(tau0=tau0, slots=slots)
 
 

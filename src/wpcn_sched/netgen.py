@@ -111,7 +111,10 @@ def sample_gain(rng: np.random.Generator, distance: float, config: GenConfig) ->
     amplitude then scales the power by a unit-mean exponential factor.
     Settings that put the gain out of range raise GainOutOfRange.
     """
-    shadow = rng.normal(0.0, config.shadow_sigma_db) if config.shadow_sigma_db > 0 else 0.0
+    # sigma * z is the float rng.normal(0.0, sigma) returns, from the same
+    # stream, without its argument handling.
+    shadow = (config.shadow_sigma_db * rng.standard_normal()
+              if config.shadow_sigma_db > 0 else 0.0)
     try:
         gain = linear_gain(path_loss_db(distance, config.ref_distance, config.ref_loss_db,
                                         config.path_loss_exp, shadow))
@@ -142,7 +145,8 @@ def sample(config: GenConfig) -> NetworkInstance:
         distance = math.sqrt(inner + (outer - inner) * (1.0 - rng.random()))
         uplink = sample_gain(rng, distance, config)
         downlink = sample_gain(rng, distance, config)
-        battery = rng.uniform(0.0, config.battery_max) if config.battery_max > 0 else 0.0
+        # As rng.uniform(0.0, battery_max), like the shadowing draw above.
+        battery = config.battery_max * rng.random() if config.battery_max > 0 else 0.0
         users.append(UserProfile(uplink_gain=uplink, downlink_gain=downlink,
                                  initial_energy=battery,
                                  demand_bits=config.demand_bits))

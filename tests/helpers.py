@@ -8,11 +8,14 @@ vertex enumeration.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
-from wpcn_sched import GenConfig, NetworkInstance, SystemParams, UserProfile, sample
+from wpcn_sched import (GenConfig, NetworkInstance, SystemParams, UserProfile, linear_gain,
+                        path_loss_db, sample)
 from wpcn_sched.lp import FEASIBILITY_TOL
 
 # -- exact hand-built instances ----------------------------------------------
@@ -67,6 +70,38 @@ def random_instance(seed: int, n_users: int = 4, p_h: float = 1.0,
                        system=SystemParams(p_h=p_h, p_max=p_max),
                        battery_max=battery_max)
     return sample(config)
+
+
+def reference_sample(config: GenConfig) -> NetworkInstance | None:
+    """``netgen.sample`` with numpy's general draws: ``rng.normal(0.0, sigma)``
+    for shadowing and ``rng.uniform(0.0, battery_max)`` for batteries, in the
+    same stream order. None where ``sample`` raises GainOutOfRange."""
+    rng = np.random.default_rng(config.seed)
+    inner = config.min_distance ** 2
+    outer = config.radius ** 2
+
+    def gain(distance):
+        shadow = rng.normal(0.0, config.shadow_sigma_db) if config.shadow_sigma_db > 0 else 0.0
+        try:
+            value = linear_gain(path_loss_db(distance, config.ref_distance, config.ref_loss_db,
+                                             config.path_loss_exp, shadow))
+        except (OverflowError, ValueError):
+            value = math.nan
+        if config.fading:
+            value *= rng.standard_exponential()
+        return value if 0.0 < value < math.inf else None
+
+    users = []
+    for _ in range(config.n_users):
+        distance = math.sqrt(inner + (outer - inner) * (1.0 - rng.random()))
+        uplink = gain(distance)
+        downlink = None if uplink is None else gain(distance)
+        if downlink is None:
+            return None
+        battery = rng.uniform(0.0, config.battery_max) if config.battery_max > 0 else 0.0
+        users.append(UserProfile(uplink_gain=uplink, downlink_gain=downlink,
+                                 initial_energy=battery, demand_bits=config.demand_bits))
+    return NetworkInstance(params=config.system, users=tuple(users))
 
 
 # -- arbitrary-precision recomputation oracle --------------------------------
@@ -155,6 +190,45 @@ def vertex_enum_max(c: np.ndarray, a: np.ndarray, b: np.ndarray,
             value = float(c @ x)
             if best is None or value > best:
                 best = value
+    return best
+
+
+def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Gauss-Jordan elimination in rationals; None for a singular system."""
+    n = len(rows)
+    aug = [row + [r] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col] / aug[col][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+def exact_vertex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> Fraction | None:
+    """:func:`vertex_enum_max` in exact rational arithmetic: each double is
+    the fraction it denotes, and a vertex is feasible only if it satisfies
+    every constraint exactly. vertex_enum_max's 1e-8 tolerance accepts
+    points that break a constraint with entries near 1e-14, which is the
+    wrong optimum this oracle must tell apart."""
+    m, n = a.shape
+    rows = [[Fraction(v) for v in row] for row in a.tolist()]
+    rows += [[Fraction(-int(i == j)) for j in range(n)] for i in range(n)]
+    bounds = [Fraction(v) for v in b.tolist()] + [Fraction(0)] * n
+    cost = [Fraction(v) for v in c.tolist()]
+    best = None
+    for subset in itertools.combinations(range(m + n), n):
+        x = _solve_exact([rows[i] for i in subset], [bounds[i] for i in subset])
+        if x is None or any(sum(map(Fraction.__mul__, row, x)) > bound
+                            for row, bound in zip(rows, bounds)):
+            continue
+        value = sum(map(Fraction.__mul__, cost, x))
+        if best is None or value > best:
+            best = value
     return best
 
 

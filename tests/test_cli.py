@@ -1,17 +1,26 @@
 """CLI commands, sweep statistics, CSV schema, exit codes, golden files."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import pathlib
+import re
 import stat
+import tempfile
 import threading
 
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
-from wpcn_sched import instance_from_dict, mrsa, validate
+from wpcn_sched import GenConfig, SystemParams, UserProfile, instance_from_dict, mrsa, validate
 from wpcn_sched import cli as cli_module
 from wpcn_sched.cli import (
+    AXES,
     CSV_COLUMNS,
+    PROBLEMS,
     ConfigError,
     main,
     run_sweep,
@@ -486,7 +495,8 @@ class TestRateOverflow:
 
 class TestLargeValues:
     """Sweeps whose lengths or demands are far from the studied range still
-    end in a finite CSV and exit code 0."""
+    end in a finite CSV and exit code 0; solves whose results pass the
+    largest double exit 2 or 3."""
 
     def test_lengths_near_the_largest_double(self, tmp_path):
         # Lengths near 1e299 whose squared deviations overflow a double
@@ -505,6 +515,31 @@ class TestLargeValues:
         assert mean == pytest.approx(1e300, rel=1e-15)
         assert std == pytest.approx(0.5e300, rel=1e-15)
         assert cli_module._mean_std([1.5, 0.5]) == (1.0, 0.5)
+
+    @pytest.mark.parametrize("alg", ["mlsa", "pdo", "opt"])
+    def test_demands_summing_past_the_largest_double(self, tmp_path, capsys, alg):
+        # Each demand is finite, but the minimum-length throughput, their
+        # sum, is not.
+        data = json.loads((DATA / "golden_instance.json").read_text())
+        for user in data["users"][1:]:
+            user["demand_bits"] = 1e308
+        path = write_json(tmp_path / "instance.json", data)
+        assert main(["solve", "--instance", path, "--problem", "mls", "--alg", alg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: throughput overflows" in captured.err
+
+    @pytest.mark.parametrize("alg", ["mlsa", "pdo", "opt"])
+    def test_frame_past_the_largest_double(self, tmp_path, capsys, alg):
+        # Three minimum times of 3.6e307 s after a 1.2e308 s harvest: the
+        # frame cannot end at any representable time.
+        data = json.loads((DATA / "golden_instance.json").read_text())
+        for user in data["users"]:
+            user.update(uplink_gain=1e-21, downlink_gain=1.0, demand_bits=5.8e298,
+                        initial_energy=0.0)
+        path = write_json(tmp_path / "instance.json", data)
+        assert main(["solve", "--instance", path, "--problem", "mls", "--alg", alg]) == 3
+        assert "would end past the largest double" in capsys.readouterr().err
 
     @pytest.mark.parametrize("demand", [1e7, 1e8, 1e12])
     def test_large_demands_replay(self, tmp_path, demand):
@@ -655,3 +690,87 @@ class TestOutputTarget:
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "--config", config_path, "--out", "instance.json"]) == 0
         assert (tmp_path / "instance.json").exists()
+
+
+# -- arbitrary JSON at the input boundary ------------------------------------
+
+# Wrong types, non-finite and extreme numbers, and small values that pass
+# the type checks; integers stay small so that no draw asks for a long run.
+JSON_ODDITIES = (None, True, False, float("nan"), float("inf"), float("-inf"),
+                 1e308, -1e308, 1e-300, -1e-300, 10 ** 400, -(10 ** 400), 0, -1, 0.0, -0.0,
+                 "1", "", [], [1.0], {})
+json_values = st.one_of(st.sampled_from(JSON_ODDITIES), st.integers(-2, 6),
+                        st.floats(-10.0, 10.0))
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def field_names(cls) -> list[str]:
+    return [field.name for field in dataclasses.fields(cls)]
+
+
+@st.composite
+def overridden(draw, data: dict, names: list[str], max_size: int = 3) -> dict:
+    """``data`` with up to ``max_size`` of the fields ``names`` set to odd JSON."""
+    return {**data, **draw(st.dictionaries(st.sampled_from(names), json_values,
+                                           max_size=max_size))}
+
+
+@st.composite
+def gen_dicts(draw) -> dict:
+    system = draw(overridden({"p_h": 1.0, "p_max": 0.1}, field_names(SystemParams), 2))
+    gen = draw(overridden({"n_users": 3, "seed": 5, "min_distance": 1.0},
+                          [name for name in field_names(GenConfig) if name != "system"]))
+    # One draw in four replaces the whole system object.
+    return {**gen, "system": draw(json_values) if draw(st.integers(0, 3)) == 0 else system}
+
+
+@st.composite
+def instance_dicts(draw) -> dict:
+    golden = json.loads((DATA / "golden_instance.json").read_text())
+    params = draw(overridden(golden["params"], field_names(SystemParams), 2))
+    users = [draw(overridden(user, field_names(UserProfile), 2)) for user in golden["users"]]
+    return {"params": params, "users": users}
+
+
+def run_cli(argv: list[str], outputs: list[pathlib.Path]) -> None:
+    """cli.main ends in exit code 0, 2 or 3, without a traceback, and writes
+    no NaN or Infinity to standard output or to ``outputs``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    event(f"exit code {code}")
+    assert code in (0, 2, 3), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    texts = [stdout.getvalue()] + [path.read_text() for path in outputs if path.exists()]
+    for text in texts:
+        assert not NON_FINITE.search(text), text
+
+
+class TestArbitraryJson:
+    @given(gen_dicts())
+    def test_gen(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp) / "instance.json"
+            run_cli(["gen", "--config", write_json(pathlib.Path(tmp) / "gen.json", config),
+                     "--out", str(out)], [out])
+
+    @given(instance_dicts(),
+           st.sampled_from([("mls", "mlsa"), ("mls", "pdo"), ("mls", "opt"),
+                            ("stm", "mrsa"), ("stm", "opt")]))
+    def test_solve(self, instance, solver):
+        problem, alg = solver
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(pathlib.Path(tmp) / "instance.json", instance)
+            run_cli(["solve", "--instance", path, "--problem", problem, "--alg", alg], [])
+
+    @given(gen_dicts(), st.sampled_from(AXES),
+           st.lists(st.one_of(st.integers(1, 6), st.floats(0.01, 10.0), json_values),
+                    min_size=1, max_size=2),
+           st.sampled_from([[p] for p in PROBLEMS] + [list(PROBLEMS)]), st.booleans())
+    def test_sweep(self, gen, axis, values, problems, oracle):
+        spec = {"axis": axis, "values": values, "trials": 2, "gen": gen,
+                "problems": problems, "oracle": oracle}
+        with tempfile.TemporaryDirectory() as tmp:
+            out, raw = pathlib.Path(tmp) / "sweep.csv", pathlib.Path(tmp) / "sweep.jsonl"
+            run_cli(["sweep", "--spec", write_json(pathlib.Path(tmp) / "spec.json", spec),
+                     "--out", str(out), "--raw", str(raw)], [out, raw])

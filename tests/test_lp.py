@@ -16,7 +16,7 @@ from wpcn_sched.lp import (
 )
 from wpcn_sched.stm import throughput_lp
 
-from helpers import random_instance, two_solve_certificate, vertex_enum_max
+from helpers import exact_vertex_max, random_instance, two_solve_certificate, vertex_enum_max
 
 
 def lp(c, a, b, start=None) -> LpProblem:
@@ -176,6 +176,22 @@ class TestHandCases:
                                  problem.rhs)
         assert abs(oracle - 1.2) < 1e-9
         with pytest.raises(NumericalBreakdown, match="column 2"):
+            solve(problem)
+
+    def test_tiny_pivot_that_binds_first_is_refused(self):
+        # The first row forces x0 = 0 (exact optimum 0), but its 2e-14 entry
+        # is below PIVOT_TOL, so x0 would enter on the box row to x = (3, 0),
+        # objective 9. The row that binds first is refused instead.
+        problem = lp([3.0, -1.0],
+                     [[2e-14, 2.0],
+                      [1e-14, -2.0],
+                      [-1e-14, 0.0],
+                      [0.0, -2.0],
+                      [1.0, 1.0]],
+                     [0.0, 2.0, 2.0, 0.0, 3.0])
+        assert exact_vertex_max(problem.objective, problem.constraint_matrix,
+                                problem.rhs) == 0
+        with pytest.raises(NumericalBreakdown, match="would bind first"):
             solve(problem)
 
 

@@ -18,7 +18,8 @@ from wpcn_sched import (
     validate,
 )
 
-from wpcn_sched.model import layout
+from wpcn_sched import mls, model
+from wpcn_sched.model import ENERGY_TOL, energy_balance, layout
 
 from helpers import exact_params, exact_user, no_harvest_user, random_instance
 
@@ -180,13 +181,16 @@ class TestInvariants:
 
 
 class TestRoundOff:
+    # Trial 46 of a hap_power 4, demand 1e7 sweep (seed 3): at the start
+    # derived from s_min, user 2's balance replays to -1.8e-12 J, one ulp
+    # of its 9539.5 J and below -ENERGY_TOL.
+    instance = sample(GenConfig(n_users=6, seed=1535405053594379346,
+                                system=SystemParams(p_h=4.0, p_max=0.1),
+                                demand_bits=1e7, min_distance=1.0))
+
     def test_late_start_absorbs_an_energy_ulp(self):
-        # Trial 46 of a hap_power 4, demand 1e7 sweep (seed 3): at the start
-        # derived from s_min, user 2's balance replays to -1.8e-12 J, one ulp
-        # of its 9539.5 J and below -ENERGY_TOL. The frame starts later.
-        instance = sample(GenConfig(n_users=6, seed=1535405053594379346,
-                                    system=SystemParams(p_h=4.0, p_max=0.1),
-                                    demand_bits=1e7, min_distance=1.0))
+        # The frame starts later.
+        instance = self.instance
         params = instance.params
         solution = mlsa(instance)
         assert validate(instance, solution.schedule, check_traffic=True).ok
@@ -197,3 +201,22 @@ class TestRoundOff:
             elapsed += duration
         assert not validate(instance, layout(tau0, pairs)).ok
         assert tau0 < solution.schedule.tau0 <= tau0 * (1.0 + 1e-15)
+
+    def test_replay_is_the_balance_validate_checks(self, monkeypatch):
+        # fixed_order_mls replays with the harvest rates it computed once;
+        # every balance must be model.energy_balance's, bit for bit, or the
+        # frame could start too early for validate.
+        replayed = []
+
+        def recording(params, user, c, slot):
+            balance = model._energy_balance(params, user, c, slot)
+            replayed.append((user, slot, balance))
+            return balance
+
+        monkeypatch.setattr(mls, "_energy_balance", recording)
+        mlsa(self.instance)
+        params = self.instance.params
+        assert len(replayed) == 2 * self.instance.n_users   # the deficit, then none
+        assert any(balance < -ENERGY_TOL for _, _, balance in replayed)
+        for user, slot, balance in replayed:
+            assert balance.hex() == energy_balance(params, user, slot).hex()

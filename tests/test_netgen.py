@@ -5,9 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from wpcn_sched import GenConfig, SystemParams, derive_seed, linear_gain, path_loss_db, sample
-from wpcn_sched.netgen import RNG_NAME, config_from_dict, config_to_dict, sample_gain
+from wpcn_sched.netgen import (RNG_NAME, GainOutOfRange, config_from_dict, config_to_dict,
+                               sample_gain)
+
+from helpers import reference_sample
 
 SHADOW_MEAN_FACTOR_4DB = 1.5282936457798482  # E[10^(-Z/10)], Z ~ N(0, 4 dB)
 
@@ -142,6 +147,43 @@ class TestDistributions:
         # both directions coincide
         for user in instance.users:
             assert user.uplink_gain == user.downlink_gain
+
+
+# JSON ints as well as floats, zeros that skip a draw, and shadowing wide
+# enough that a gain leaves the range of a double.
+gen_configs = st.builds(
+    GenConfig,
+    n_users=st.integers(1, 5),
+    seed=st.integers(0, 2 ** 64),
+    radius=st.floats(1.5, 100.0),
+    path_loss_exp=st.floats(2.0, 4.0),
+    shadow_sigma_db=st.one_of(st.just(0.0), st.integers(0, 12), st.floats(0.0, 20.0),
+                              st.sampled_from([400.0, 1e300])),
+    battery_max=st.one_of(st.just(0.0), st.integers(0, 2), st.floats(0.0, 1e-2),
+                          st.just(1e300)),
+    fading=st.booleans(),
+    min_distance=st.sampled_from([0.0, 1.0]),
+)
+
+
+@given(gen_configs)
+def test_draws_match_numpys_general_calls(config):
+    # sample draws sigma * standard_normal() and battery_max * random():
+    # the stream and the floats of rng.normal(0.0, sigma) and
+    # rng.uniform(0.0, battery_max).
+    try:
+        instance = sample(config)
+    except GainOutOfRange:
+        event("gain out of range")
+        instance = None
+    reference = reference_sample(config)
+    if instance is None or reference is None:
+        assert instance is reference is None
+        return
+    assert [[repr(getattr(user, name)) for name in user.__dataclass_fields__]
+            for user in instance.users] == \
+        [[repr(getattr(user, name)) for name in user.__dataclass_fields__]
+         for user in reference.users]
 
 
 class TestDeriveSeed:

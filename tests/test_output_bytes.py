@@ -25,6 +25,14 @@ BYTES = pathlib.Path(__file__).parent / "data" / "bytes"
 # throughput oracle where mrsa misses the optimum.
 GEN = {"n_users": 5, "seed": 2024, "system": {"p_h": 2.0, "p_max": 0.1},
        "min_distance": 1.0}
+# The pinned gen outputs, by file name: GEN itself (empty batteries), and
+# one each with a uniform battery draw, no shadowing draw and no fading draw.
+GENS = {
+    "gen_instance.json": GEN,
+    "gen_battery.json": {**GEN, "battery_max": 0.001},
+    "gen_no_shadowing.json": {**GEN, "shadow_sigma_db": 0.0},
+    "gen_no_fading.json": {**GEN, "fading": False},
+}
 SWEEPS = {
     "hap_power": {"axis": "hap_power", "values": [0.5, 2.0, 8.0], "trials": 4,
                   "gen": {**GEN, "seed": 7, "battery_max": 0.001},
@@ -84,10 +92,12 @@ def produce(workdir: pathlib.Path) -> dict[str, bytes]:
     """Every pinned output, by file name under ``data/bytes``."""
     outputs = {}
     config = workdir / "gen.json"
-    config.write_text(json.dumps(GEN))
+    for name, gen in GENS.items():
+        config.write_text(json.dumps(gen))
+        out = workdir / name
+        assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
+        outputs[name] = out.read_bytes()
     instance = workdir / "gen_instance.json"
-    assert main(["gen", "--config", str(config), "--out", str(instance)]) == 0
-    outputs[instance.name] = instance.read_bytes()
 
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -116,7 +126,7 @@ def outputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", [
-    "gen_instance.json", "solve_gen_instance.txt",
+    *GENS, "solve_gen_instance.txt",
     "sweep_hap_power.csv", "sweep_hap_power.jsonl",
     "sweep_n_users.csv", "sweep_n_users.jsonl", "fixed_order_large.txt",
     "fixed_order_pivoted.txt",

@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from wpcn_sched import (
@@ -24,10 +24,10 @@ from wpcn_sched import (
     sample,
     validate,
 )
-from wpcn_sched.lp import LpProblem, LpStatus, solve
+from wpcn_sched.lp import PIVOT_TOL, LpProblem, LpStatus, NumericalBreakdown, solve
 from wpcn_sched.stm import FRAME_LENGTH, throughput_lp
 
-from helpers import vertex_enum_max
+from helpers import exact_vertex_max, vertex_enum_max
 
 
 @st.composite
@@ -54,6 +54,38 @@ def test_simplex_matches_vertex_enumeration(data):
     solution = solve(LpProblem(objective=c, constraint_matrix=a, rhs=b))
     assert solution.status is LpStatus.OPTIMAL
     assert abs(solution.objective_value - vertex_enum_max(c, a, b)) < 1e-9
+
+
+@st.composite
+def lps_with_a_tiny_column(draw):
+    """``small_integer_lps`` with one column's constraint entries scaled by
+    1e-9 to 1e-13; the box row keeps its 1, so the LP stays bounded.
+
+    Not down to 1e-14: there, entries reach ``lp._RESIDUE_TOL`` times the
+    column's largest, which the simplex reads as round-off, and a wrong
+    optimum still comes back (maximize 2x s.t. 1e-14 x <= 0, x <= 3 gives 6).
+    """
+    c, a, b = draw(small_integer_lps())
+    scale = 10.0 ** -draw(st.floats(9.0, 13.0))
+    a[:-1, draw(st.integers(0, c.size - 1))] *= scale
+    return c, a, b, scale
+
+
+# 300 examples: the first 100 never put a tiny entry in a row that binds first.
+@settings(max_examples=300)
+@given(lps_with_a_tiny_column())
+def test_tiny_column_is_solved_or_refused(data):
+    c, a, b, scale = data
+    try:
+        solution = solve(LpProblem(objective=c, constraint_matrix=a, rhs=b))
+    except NumericalBreakdown:
+        event("refused")
+        return
+    assert solution.status is LpStatus.OPTIMAL
+    # A pivot on an entry near `scale` (never below PIVOT_TOL) amplifies
+    # round-off by its inverse; a wrong vertex is off by about 1 here.
+    tolerance = 1e-9 + 1e-14 / max(scale, PIVOT_TOL)
+    assert abs(solution.objective_value - float(exact_vertex_max(c, a, b))) <= tolerance
 
 
 def loop_built_lp(instance, order):
@@ -110,14 +142,15 @@ def test_throughput_lp_is_the_loop_built_lp_byte_for_byte(data):
     assert problem.rhs.tobytes() == b.tobytes()
 
 
-def generated_instances(n_users):
+def generated_instances(n_users, demand_bits=st.sampled_from([10.0, 100.0, 1000.0]),
+                        battery_max=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2])):
     return st.builds(
         GenConfig,
         n_users=n_users,
         seed=st.integers(0, 2**63),
         system=st.builds(SystemParams, p_h=st.floats(0.1, 10.0), p_max=st.floats(0.01, 1.0)),
-        demand_bits=st.sampled_from([10.0, 100.0, 1000.0]),
-        battery_max=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+        demand_bits=demand_bits,
+        battery_max=battery_max,
         min_distance=st.sampled_from([0.0, 1.0]),
     ).map(sample)
 
@@ -165,6 +198,19 @@ def test_every_schedule_validates(instance):
             assert validate(instance, solution.schedule, check_traffic=True).ok
     for solver in (mrsa, brute_force_stm):
         assert validate(instance, solver(instance).schedule).ok
+
+
+# Demands of 1e7 bits and up replay an ulp short of ENERGY_TOL or
+# TRAFFIC_TOL at the s_min start unless fixed_order_mls corrects for it.
+@given(generated_instances(st.integers(1, 8),
+                           demand_bits=st.sampled_from([100.0, 1e6, 1e7, 1e8, 1e9, 1e12]),
+                           battery_max=st.sampled_from([0.0, 1e-3])))
+def test_large_demand_schedules_validate(instance):
+    for solver in (mlsa, pdo):
+        solution = mls_or_none(solver, instance)
+        event("infeasible" if solution is None else "scheduled")
+        if solution is not None:
+            assert validate(instance, solution.schedule, check_traffic=True).ok
 
 
 @given(small_instances)
