@@ -6,7 +6,8 @@ Subcommands:
     sweep  run a Monte Carlo sweep over an axis and write per-point CSV
 
 Exit codes: 0 success, 2 configuration or parse error (a rate that
-overflows and a drawn link gain out of range included), 3 infeasible solve.
+overflows, a drawn link gain out of range and too many users for an
+exhaustive solver included), 3 infeasible solve.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (
     Infeasible,
     NetworkInstance,
     RateOverflow,
+    TooLarge,
     check_types,
     instance_from_dict,
     instance_to_dict,
@@ -408,7 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, RateOverflow, netgen.GainOutOfRange) as exc:  # ParseError included
+    except (ConfigError, RateOverflow, TooLarge,   # ParseError included
+            netgen.GainOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Infeasible as exc:

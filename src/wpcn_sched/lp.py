@@ -183,7 +183,7 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     # (start was range-checked, so mode="clip" never clips).
     lhs = np.empty((2, m, m))
     basis = lhs[0]
-    np.take(a, cols, axis=1, out=basis, mode="clip")
+    a.take(cols, axis=1, out=basis, mode="clip")
     lhs[1] = basis.T
     rhs = np.empty((2, m, 1))
     rhs[0, :, 0] = problem.rhs

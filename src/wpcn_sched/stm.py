@@ -11,13 +11,15 @@ search and the slot layout are shared with the minimum-length solvers:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import lp
-from .model import NetworkInstance, Schedule, best_order, check_order, harvest_rate, layout, rate
+from .model import (BRUTE_FORCE_LIMIT, NetworkInstance, Schedule, best_order, check_order,
+                    harvest_rate, layout, rate)
 
 FRAME_LENGTH = 1.0  # normalized frame; throughput scales linearly with it
 
@@ -69,7 +71,29 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
     return StmSolution(schedule=schedule, throughput=throughput, scheduled_users=scheduled)
 
 
-def throughput_lp(instance: NetworkInstance, order: Sequence[int]) -> lp.LpProblem:
+def lp_coefficients(instance: NetworkInstance) -> np.ndarray:
+    """The throughput LP's per-variable data, one column per variable in
+    user-index order after tau0's column 0: the rates (row 0), the
+    right-hand sides, frame length then batteries (row 1), and the negated
+    harvest rates (row 2). Every order's LP gathers its columns from here.
+    """
+    params = instance.params
+    users = instance.users
+    return np.array([[0.0, *(rate(params, u) for u in users)],
+                     [FRAME_LENGTH, *(u.initial_energy for u in users)],
+                     [0.0, *(-harvest_rate(params, u) for u in users)]])
+
+
+@functools.lru_cache(maxsize=64)
+def _lower_triangle(size: int) -> np.ndarray:
+    """Read-only mask of the entries on or below the diagonal."""
+    mask = np.tri(size, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def throughput_lp(instance: NetworkInstance, order: Sequence[int],
+                  coefficients: np.ndarray | None = None) -> lp.LpProblem:
     """Time-allocation LP for a fixed transmission order.
 
     Variables are [tau0, tau_order[0], ..., tau_order[-1]]. Maximize the
@@ -77,34 +101,39 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int]) -> lp.LpProbl
     user, spending no more than battery plus what is harvested by the end
     of its own slot. The start basis guesses the usual optimum: every
     variable basic, so the frame is full and every user spends all it has.
+    ``coefficients`` is ``lp_coefficients(instance)``, computed here when
+    not given.
+
+    Raises:
+        ValueError: ``order`` is not a permutation of the users.
     """
-    params = instance.params
-    users = [instance.users[i - 1] for i in order]
-    c = np.array([0.0] + [rate(params, u) for u in users])
-    b = np.array([FRAME_LENGTH] + [u.initial_energy for u in users])
-    earned = np.array([0.0] + [-harvest_rate(params, u) for u in users])
+    check_order(order, instance.n_users)
+    if coefficients is None:
+        coefficients = lp_coefficients(instance)
+    c, b, earned = coefficients.take([0, *order], axis=1)
 
     # Row k >= 1 spends p_max in its own slot and earns what is harvested
     # during tau0 and every slot up to its own; row 0 is the frame budget
     # tau0 + sum tau_i <= frame.
-    k = np.arange(c.size)
-    a = np.where(k <= k[:, None], earned[:, None], 0.0)
+    a = np.where(_lower_triangle(c.size), earned[:, None], 0.0)
     a[0] = 1.0
-    a.ravel()[c.size + 1::c.size + 1] += params.p_max   # diagonal below row 0
+    a.ravel()[c.size + 1::c.size + 1] += instance.params.p_max   # diagonal below row 0
     return lp.LpProblem(objective=c, constraint_matrix=a, rhs=b,
                         start=tuple(range(c.size)))
 
 
-def fixed_order_stm(instance: NetworkInstance, order: Sequence[int]) -> StmSolution:
-    """Optimal time allocation for a fixed transmission order, via the LP.
+def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
+                    coefficients: np.ndarray | None = None) -> StmSolution:
+    """Optimal time allocation for a fixed transmission order, via the LP
+    (``coefficients`` as for :func:`throughput_lp`).
 
     Raises:
+        ValueError: ``order`` is not a permutation of the users.
         LpFailure: the solver reports anything but an optimum (the zero
             allocation is always feasible, so this indicates a solver
             problem and is never absorbed).
     """
-    check_order(order, instance.n_users)
-    problem = throughput_lp(instance, order)
+    problem = throughput_lp(instance, order, coefficients)
     solution = lp.solve(problem)
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise LpFailure(f"time-allocation LP came back {solution.status.value}")
@@ -112,7 +141,7 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int]) -> StmSolut
     x = solution.x.tolist()
     scheduled, pairs = [], []
     throughput = 0.0
-    for i, d, r in zip(order, x[1:], problem.objective[1:].tolist()):  # the LP's per-slot rates
+    for i, d, r in zip(order, x[1:], problem.objective.tolist()[1:]):  # the LP's per-slot rates
         if d > 0.0:
             scheduled.append(i)
             pairs.append((i, d))
@@ -127,9 +156,13 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
     """Exact oracle: best fixed-order allocation over all transmission orders.
 
     Ties break toward the lexicographically smallest order. Only for small
-    instances.
+    instances. The closed forms are computed once, and every order's LP is
+    gathered from them.
 
     Raises:
         TooLarge: more than BRUTE_FORCE_LIMIT users.
     """
-    return best_order(instance, fixed_order_stm, lambda solution: solution.throughput)
+    solve = fixed_order_stm   # looked up per call, so a rebound name is honoured
+    if instance.n_users <= BRUTE_FORCE_LIMIT:   # else best_order raises TooLarge first
+        solve = functools.partial(solve, coefficients=lp_coefficients(instance))
+    return best_order(instance, solve, lambda solution: solution.throughput)

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from wpcn_sched import GenConfig, SystemParams, UserProfile, instance_from_dict, mrsa, validate
+from wpcn_sched import (GenConfig, SystemParams, UserProfile, instance_from_dict,
+                        instance_to_dict, mrsa, sample, validate)
 from wpcn_sched import cli as cli_module
 from wpcn_sched.cli import (
     AXES,
@@ -296,6 +297,21 @@ class TestExitCodes:
         assert main(["solve", "--instance", str(tmp_path / "nope.json"),
                      "--problem", "mls", "--alg", "mlsa"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("problem", ["mls", "stm"])
+    @pytest.mark.parametrize("gain", [None, 1e308])
+    def test_too_many_users_for_opt_is_2(self, tmp_path, capsys, problem, gain):
+        # The size cap is checked before any closed form, so a gain whose
+        # rate overflows still reports the cap.
+        payload = instance_to_dict(sample(GenConfig(n_users=9, seed=1)))
+        if gain is not None:
+            payload["users"][1]["uplink_gain"] = gain
+        instance_path = write_json(tmp_path / "instance.json", payload)
+        code = main(["solve", "--instance", instance_path, "--problem", problem, "--alg", "opt"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: 9 users; permutation search is capped at 8\n"
 
     def test_infeasible_solve_is_3(self, tmp_path, capsys):
         payload = {

@@ -2,10 +2,10 @@
 
 The files under ``data/bytes`` are the exact outputs of ``gen``, ``solve``
 and ``sweep`` on the inputs below, plus the ``repr`` of fixed-order
-throughput allocations: large ones, and small battery-rich ones whose LPs
-take the simplex. Refactors must reproduce them byte for byte; only a
-change meant to alter the outputs may rewrite them, and its change log then
-says why. They were written on CPython 3.11 with numpy 2.4.
+throughput allocations (large ones, and small battery-rich ones whose LPs
+take the simplex) and of the exact throughput oracle's winners. Refactors
+must reproduce them byte for byte; only a change meant to alter the outputs
+may rewrite them, and its change log then says why. They were written on CPython 3.11 with numpy 2.4.
 """
 
 import contextlib
@@ -49,6 +49,17 @@ LARGE_GEN = {"battery_max": 0.001, "min_distance": 1.0}
 # optimum has tau0 = 0, and every order's LP takes the pivoted path.
 RICH = (0, 1, 2)
 RICH_GEN = {"n_users": 3, "system": {"p_h": 1.0, "p_max": 0.01}, "battery_max": 0.01}
+# Configs of the brute_force_stm winners: N=6 in the benchmark's regime at
+# each of its HAP powers, empty batteries at N=4, one N=7 instance, and the
+# battery-rich instances above.
+ORACLE_GEN = {"battery_max": 0.001, "min_distance": 1.0}
+ORACLE = (
+    *({**ORACLE_GEN, "n_users": 6, "seed": seed, "system": {"p_h": p_h, "p_max": 0.1}}
+      for p_h in (0.5, 2.0, 8.0) for seed in (0, 1)),
+    {"n_users": 4, "seed": 0, "min_distance": 1.0},
+    {**ORACLE_GEN, "n_users": 7, "seed": 0},
+    *({**RICH_GEN, "seed": seed} for seed in RICH),
+)
 
 
 def fixed_order_lines() -> str:
@@ -88,6 +99,20 @@ def pivoted_lines() -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def oracle_lines() -> str:
+    """Config, throughput, scheduled users, tau0 and every slot of
+    ``brute_force_stm`` per instance of ``ORACLE``."""
+    lines = []
+    for gen in ORACLE:
+        solution = stm.brute_force_stm(netgen.sample(netgen.config_from_dict(gen)))
+        lines.append(json.dumps(gen, sort_keys=True))
+        lines.append(repr(solution.throughput))
+        lines.append(repr(solution.scheduled_users))
+        lines.append(repr(solution.schedule.tau0))
+        lines.extend(repr(slot) for slot in solution.schedule.slots)
+    return "".join(line + "\n" for line in lines)
+
+
 def produce(workdir: pathlib.Path) -> dict[str, bytes]:
     """Every pinned output, by file name under ``data/bytes``."""
     outputs = {}
@@ -117,6 +142,7 @@ def produce(workdir: pathlib.Path) -> dict[str, bytes]:
 
     outputs["fixed_order_large.txt"] = fixed_order_lines().encode()
     outputs["fixed_order_pivoted.txt"] = pivoted_lines().encode()
+    outputs["oracle_stm.txt"] = oracle_lines().encode()
     return outputs
 
 
@@ -129,7 +155,7 @@ def outputs(tmp_path_factory):
     *GENS, "solve_gen_instance.txt",
     "sweep_hap_power.csv", "sweep_hap_power.jsonl",
     "sweep_n_users.csv", "sweep_n_users.jsonl", "fixed_order_large.txt",
-    "fixed_order_pivoted.txt",
+    "fixed_order_pivoted.txt", "oracle_stm.txt",
 ])
 def test_output_matches_pinned_bytes(outputs, name):
     assert outputs[name] == (BYTES / name).read_bytes()

@@ -25,7 +25,7 @@ from wpcn_sched import (
     validate,
 )
 from wpcn_sched.lp import PIVOT_TOL, LpProblem, LpStatus, NumericalBreakdown, solve
-from wpcn_sched.stm import FRAME_LENGTH, throughput_lp
+from wpcn_sched.stm import FRAME_LENGTH, fixed_order_stm, lp_coefficients, throughput_lp
 
 from helpers import exact_vertex_max, vertex_enum_max
 
@@ -140,6 +140,12 @@ def test_throughput_lp_is_the_loop_built_lp_byte_for_byte(data):
     assert problem.objective.tobytes() == c.tobytes()
     assert problem.constraint_matrix.tobytes() == a.tobytes()
     assert problem.rhs.tobytes() == b.tobytes()
+    # The oracle's path: every order gathered from coefficients computed once.
+    gathered = throughput_lp(instance, order, lp_coefficients(instance))
+    assert gathered.objective.tobytes() == c.tobytes()
+    assert gathered.constraint_matrix.tobytes() == a.tobytes()
+    assert gathered.rhs.tobytes() == b.tobytes()
+    assert gathered.start == problem.start
 
 
 def generated_instances(n_users, demand_bits=st.sampled_from([10.0, 100.0, 1000.0]),
@@ -179,8 +185,16 @@ def test_certified_start_matches_the_cold_solve(data):
     assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
     assert np.all(np.abs(warm.x - cold.x) <= 1e-12 * np.maximum(1.0, np.abs(cold.x)))
     if instance.n_users <= 3:
-        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix, problem.rhs)
+        oracle = float(exact_vertex_max(problem.objective, problem.constraint_matrix,
+                                        problem.rhs))
         assert abs(warm.objective_value - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+
+@given(generated_instances_and_orders())
+def test_fixed_order_stm_is_the_same_with_shared_coefficients(data):
+    instance, order = data
+    shared = fixed_order_stm(instance, order, lp_coefficients(instance))
+    assert repr(shared) == repr(fixed_order_stm(instance, order))
 
 
 def mls_or_none(solver, instance):

@@ -20,9 +20,9 @@ from wpcn_sched import (
     validate,
 )
 from wpcn_sched.lp import LpSolution, LpStatus
-from wpcn_sched.stm import LpFailure, throughput_lp
+from wpcn_sched.stm import LpFailure, lp_coefficients, throughput_lp
 
-from helpers import random_instance, vertex_enum_max
+from helpers import exact_vertex_max, random_instance
 
 SATURATING_GAIN = 1e9
 GOLDEN_FIXED_ORDER = json.loads(
@@ -110,8 +110,8 @@ class TestFixedOrder:
         solution = fixed_order_stm(instance, [1])
         assert abs(solution.schedule.slots[0].duration - 0.5) < 1e-9
         problem = throughput_lp(instance, [1])
-        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix,
-                                 problem.rhs)
+        oracle = float(exact_vertex_max(problem.objective, problem.constraint_matrix,
+                                        problem.rhs))
         assert abs(solution.throughput - oracle) < 1e-9 * max(1.0, abs(oracle))
 
     def test_matches_vertex_oracle_on_random_pairs(self):
@@ -120,14 +120,22 @@ class TestFixedOrder:
             order = [1, 2] if seed % 2 else [2, 1]
             solution = fixed_order_stm(instance, order)
             problem = throughput_lp(instance, order)
-            oracle = vertex_enum_max(problem.objective,
-                                     problem.constraint_matrix, problem.rhs)
+            oracle = float(exact_vertex_max(problem.objective,
+                                            problem.constraint_matrix, problem.rhs))
             assert abs(solution.throughput - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
     def test_rejects_non_permutation(self):
         instance = random_instance(seed=1, n_users=3)
         with pytest.raises(ValueError):
             fixed_order_stm(instance, [1, 2])
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [1, 1, 2], [1, 2]])
+    def test_lp_rejects_non_permutation(self, order):
+        instance = random_instance(seed=1, n_users=3)
+        with pytest.raises(ValueError):
+            throughput_lp(instance, order)
+        with pytest.raises(ValueError):
+            throughput_lp(instance, order, lp_coefficients(instance))
 
     def test_lp_failure_is_surfaced(self, monkeypatch):
         instance = random_instance(seed=2, n_users=2)
@@ -181,6 +189,21 @@ class TestBruteForce:
         instance = random_instance(seed=3, n_users=9)
         with pytest.raises(TooLarge):
             brute_force_stm(instance)
+
+    def test_closed_forms_are_computed_once_per_call(self, monkeypatch):
+        from wpcn_sched import stm as stm_module
+        calls = {"rate": 0, "harvest_rate": 0}
+
+        def counted(name, closed_form):
+            def count(*args):
+                calls[name] += 1
+                return closed_form(*args)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(stm_module, name, counted(name, getattr(stm_module, name)))
+        brute_force_stm(random_instance(seed=4, n_users=5, battery_max=0.001))
+        assert calls == {"rate": 5, "harvest_rate": 5}
 
     def test_single_user_equals_fixed_order(self):
         instance = single_user_instance(p_max=0.2, harvest=0.1, battery=0.0)
