@@ -1,19 +1,17 @@
 """Small dense linear-program solver: maximize c.x subject to A.x <= b, x >= 0,
 where b >= 0 (the frame length and the batteries, in the throughput LPs).
 
-A problem may name a candidate optimal basis (``LpProblem.start``: one
-structural column per constraint row). ``solve`` first certifies it: it
-solves the square basis system for the vertex and its duals, and returns
-that vertex when it is nonnegative and no nonbasic reduced cost exceeds
-FEASIBILITY_TOL, the simplex's own optimality test. The throughput LPs of
-the STM solver almost always have such a vertex (every slot basic, every
-row tight), and one certificate costs one stacked LAPACK solve of the
-basis system and its transpose, where the simplex would take one pivot per
-row. When only some duals fail (are negative), each such row's column
-leaves the basis for the row's slack and the result is certified once more:
-in a throughput LP, those users get no time. A singular basis or any other
-failure falls back to the simplex below, started from the slack basis, so
-the result never depends on the guess being right.
+A square problem may ask ``solve`` to try its all-tight start first
+(``LpProblem.tight_start``): every structural column basic, so every row is
+tight. One stacked LAPACK solve of A x = b and A^T y = c gives that vertex
+and its duals, and the vertex is returned when it is nonnegative and no
+slack's reduced cost -y exceeds FEASIBILITY_TOL, the simplex's own
+optimality test. The STM solver's throughput LPs almost always pass (the
+frame is full and every user spends all it has), where the simplex would
+take one pivot per row. When only some duals are negative, each such row's
+column leaves the basis for the row's slack (in a throughput LP, those
+users get no time) and the result is certified once more. Any other failure
+falls back to the simplex below, so the result never depends on the guess.
 
 The simplex is a one-phase tableau method with Bland's anti-cycling rule
 (Bland, Math. Oper. Res. 1977): b >= 0 makes the slack basis a feasible
@@ -26,7 +24,6 @@ costs nothing) and which each pivot updates like every other row."""
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +51,16 @@ class LpProblem:
     """maximize objective . x  subject to  constraint_matrix . x <= rhs, x >= 0,
     with every entry finite and rhs >= 0 (so x = 0 is feasible).
 
-    ``start``, if given, is a guess at an optimal basis: one distinct
-    structural column per constraint row, so every row is tight at its
-    vertex. ``solve`` certifies it, or its repair, before pivoting and
-    ignores it otherwise; it never changes which problem is solved.
+    ``tight_start`` (square ``constraint_matrix`` only) guesses that every
+    variable is basic and every row tight at the optimum. ``solve`` tries
+    that vertex, or its repair, before pivoting; the flag never changes
+    which problem is solved.
     """
 
     objective: np.ndarray
     constraint_matrix: np.ndarray
     rhs: np.ndarray
-    start: tuple[int, ...] | None = None
+    tight_start: bool = False
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=float)
@@ -81,19 +78,14 @@ class LpProblem:
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", a)
         object.__setattr__(self, "rhs", b)
-        if self.start is not None:
-            start = tuple(map(operator.index, self.start))
-            m, n = a.shape
-            if len(start) != m or len(set(start)) != m or (
-                    m and not 0 <= min(start) <= max(start) < n):
-                raise ValueError(f"start must name {m} distinct columns in [0, {n}), "
-                                 f"got {self.start!r}")
-            object.__setattr__(self, "start", start)
+        if self.tight_start and b.size != c.size:
+            raise ValueError(f"tight_start needs a square constraint_matrix, got {a.shape}")
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """``path``: "certified" (the start), "repaired" (its repair) or "pivoted".
+    """``path``: "certified" (the tight start), "repaired" (its repair) or
+    "pivoted".
     ``pivots``: simplex pivots, 0 unless ``path`` is "pivoted"."""
 
     status: LpStatus
@@ -161,66 +153,63 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray) -> tuple[bool, int]:
     raise NumericalBreakdown("iteration limit reached; simplex is not converging")
 
 
+def _hidden(reduced: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Columns of ``a`` whose reduced cost exceeds FEASIBILITY_TOL times the
+    column's largest entry: below the absolute tolerance only because the
+    column's entries are far below it, so they cannot be priced out."""
+    return reduced > FEASIBILITY_TOL * np.abs(a).max(axis=0, initial=0.0)
+
+
 def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
-    """The vertex of ``problem.start`` or of its repair, with the path that
+    """The vertex of the all-tight start or of its repair, with the path that
     passed the simplex's own optimality test ("certified" or "repaired"),
     else ``None``.
 
-    The vertex is x_B = B^-1 b with every nonbasic variable at zero. It must
-    be finite and nonnegative, and with duals y = B^-T c_B every nonbasic
-    reduced cost (-y for the slacks, c_j - y.A_j for the structural columns
-    outside the basis) must be at most FEASIBILITY_TOL. The basic columns'
-    reduced costs are zero in exact arithmetic; their round-off residue
-    grows with the data's scale, so they are not tested. A start that fails
-    only on duals below -FEASIBILITY_TOL is repaired once, as below.
+    Every variable is basic at the start, so its only nonbasic reduced
+    costs are the slacks' -y: it passes when x = A^-1 b >= 0 and
+    y = A^-T c >= -FEASIBILITY_TOL. When only duals fail, each row with a
+    negative one trades its column for its slack (basis column e_i, cost 0)
+    and the test runs once more, now also on the dropped columns' reduced
+    costs c_j - y.A_j, held to FEASIBILITY_TOL and to the simplex's exit
+    rule (:func:`_hidden`). The basic columns' reduced costs are zero in
+    exact arithmetic; their round-off residue grows with the data's scale,
+    so they are not tested.
     """
     a = problem.constraint_matrix
     c = problem.objective
-    m = a.shape[0]
-    cols = np.array(problem.start, dtype=np.intp)   # the basic structural columns...
-    rows = slice(None)                              # ...and the rows they are basic in
-    # B x = b and B^T y = c_B as one stacked solve, filled straight from A
-    # (start was range-checked, so mode="clip" never clips).
+    m = c.size
+    # A x = b and A^T y = c as one stacked solve
     lhs = np.empty((2, m, m))
-    basis = lhs[0]
-    a.take(cols, axis=1, out=basis, mode="clip")
-    lhs[1] = basis.T
+    lhs[0] = a
+    lhs[1] = a.T
     rhs = np.empty((2, m, 1))
     rhs[0, :, 0] = problem.rhs
-    rhs[1, :, 0] = c[cols]
-    path = "certified"
-    while True:
+    rhs[1, :, 0] = c
+    for path in ("certified", "repaired"):
         try:
-            solution = np.linalg.solve(lhs, rhs)[:, :, 0]   # [x_B, y]
+            solution = np.linalg.solve(lhs, rhs)[:, :, 0]   # [x, y]
         except np.linalg.LinAlgError:
             return None
-        # x_B >= 0 and y > -inf by their minima, neither +inf by the joint
+        # x >= 0 and y > -inf by their minima, neither +inf by the joint
         # maximum (the initial 0s cover m = 0). A NaN fails every comparison.
         x_low, lowest = solution.min(axis=1, initial=0.0).tolist()
         if not (0.0 <= x_low and -np.inf < lowest and solution.max(initial=0.0) < np.inf):
             return None
-        x_basic = solution[0]
-        duals = solution[1]
-        reduced = c - duals @ a
-        reduced[cols] = 0.0
-        if not reduced.max(initial=0.0) <= FEASIBILITY_TOL:
-            return None
-        if lowest >= -FEASIBILITY_TOL:
-            x = np.zeros(c.size)
-            x[cols] = x_basic[rows]
-            return x, path
+        x, duals = solution
         if path == "repaired":
-            return None
-        # Repair: each negative-dual row's column leaves for the row's slack
-        # (basis column e_i, cost 0), and the test runs once more.
-        path = "repaired"
+            reduced = c - duals @ a
+            reduced[~dropped] = 0.0
+            if not reduced.max() <= FEASIBILITY_TOL or _hidden(reduced, a).any():
+                return None
+            x[dropped] = 0.0   # their slacks are basic in those rows
+        if lowest >= -FEASIBILITY_TOL:
+            return x, path
         dropped = duals < -FEASIBILITY_TOL
-        rows = (~dropped).nonzero()[0]
-        cols = cols[rows]
-        basis[:, dropped] = 0.0
+        lhs[0, :, dropped] = 0.0
         lhs[1, dropped] = 0.0
         lhs[:, dropped, dropped] = 1.0
         rhs[1, dropped] = 0.0
+    return None
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -229,12 +218,9 @@ def solve(problem: LpProblem) -> LpSolution:
     Returns a basic optimum (status OPTIMAL with ``x`` and
     ``objective_value``), or status UNBOUNDED; x = 0 is always feasible.
 
-    A ``problem.start`` basis whose vertex, or whose repair from negative
-    duals, is certified optimal is returned without pivoting. Otherwise (no
-    start, a singular basis, a negative vertex, an improving reduced cost or
-    a failed repair) the one-phase simplex runs from the slack basis exactly
-    as it does for a problem without a start. ``LpSolution.path`` says which
-    path ran.
+    With ``problem.tight_start``, a certified all-tight vertex or repair is
+    returned without pivoting; otherwise the simplex runs from the slack
+    basis exactly as without the flag. ``LpSolution.path`` says which ran.
 
     The tolerances are absolute, not scaled to the data: a reduced cost
     must exceed FEASIBILITY_TOL to enter and a pivot must exceed PIVOT_TOL.
@@ -252,7 +238,7 @@ def solve(problem: LpProblem) -> LpSolution:
     a = problem.constraint_matrix
     c = problem.objective
     m, n = a.shape
-    if problem.start is not None:
+    if problem.tight_start:
         certified = _certified_start(problem)
         if certified is not None:
             x, path = certified
@@ -272,7 +258,7 @@ def solve(problem: LpProblem) -> LpSolution:
     optimal, pivots = _run_simplex(tableau, basis)
     if not optimal:
         return LpSolution(status=LpStatus.UNBOUNDED, pivots=pivots)
-    hidden = tableau[-1, :n] > FEASIBILITY_TOL * np.abs(a).max(axis=0, initial=0.0)
+    hidden = _hidden(tableau[-1, :n], a)
     if hidden.any():
         raise NumericalBreakdown(
             f"column {int(hidden.argmax())}: its reduced cost is below {FEASIBILITY_TOL} "

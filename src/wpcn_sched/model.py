@@ -192,10 +192,10 @@ class FeasibilityReport:
     """Outcome of replaying a schedule against an instance.
 
     ``energy_ok`` / ``traffic_ok`` map 1-based user index to a boolean;
-    ``traffic_ok`` is empty unless traffic was checked. Battery drains
-    monotonically inside a slot (harvest rate is below transmit power in
-    every practical regime), so checking the balance at each slot's
-    completion time is sufficient.
+    ``traffic_ok`` is empty unless traffic was checked. The balance is
+    linear within a slot and at the slot's start it is battery +
+    harvest * start >= 0, so checking it at each slot's end is enough in
+    every regime.
     """
 
     energy_ok: dict[int, bool]

@@ -99,7 +99,7 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int],
     Variables are [tau0, tau_order[0], ..., tau_order[-1]]. Maximize the
     rate-weighted transmission times subject to the frame budget and, per
     user, spending no more than battery plus what is harvested by the end
-    of its own slot. The start basis guesses the usual optimum: every
+    of its own slot. The tight start guesses the usual optimum: every
     variable basic, so the frame is full and every user spends all it has.
     ``coefficients`` is ``lp_coefficients(instance)``, computed here when
     not given.
@@ -118,8 +118,7 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int],
     a = np.where(_lower_triangle(c.size), earned[:, None], 0.0)
     a[0] = 1.0
     a.ravel()[c.size + 1::c.size + 1] += instance.params.p_max   # diagonal below row 0
-    return lp.LpProblem(objective=c, constraint_matrix=a, rhs=b,
-                        start=tuple(range(c.size)))
+    return lp.LpProblem(objective=c, constraint_matrix=a, rhs=b, tight_start=True)
 
 
 def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],

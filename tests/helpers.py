@@ -233,20 +233,20 @@ def exact_vertex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> Fraction | 
 
 
 def two_solve_certificate(problem) -> tuple[np.ndarray, str] | None:
-    """``lp._certified_start`` as two separate dense solves with one
-    reduction per test: the reference its stacked form must match bit for
-    bit, rejections included."""
+    """``lp._certified_start`` for a tight start, as two separate dense solves
+    with one reduction per test: the reference its stacked form must match
+    bit for bit, rejections included. A dropped column's reduced cost must
+    be at most FEASIBILITY_TOL times min(1, the column's largest entry)."""
     a = problem.constraint_matrix
     c = problem.objective
-    cols = np.array(problem.start, dtype=np.intp)
-    rows = slice(None)
-    basis_matrix = a[:, cols]
-    basic_costs = c[cols]
+    basis_matrix = a.copy()
+    basic_costs = c.copy()
+    dropped = np.zeros(c.size, dtype=bool)
     path = "certified"
     while True:
         try:
-            x_basic = np.linalg.solve(basis_matrix, problem.rhs)
-            if not (np.isfinite(x_basic).all() and (x_basic >= 0.0).all()):
+            x = np.linalg.solve(basis_matrix, problem.rhs)
+            if not (np.isfinite(x).all() and (x >= 0.0).all()):
                 return None
             duals = np.linalg.solve(basis_matrix.T, basic_costs)
         except np.linalg.LinAlgError:
@@ -254,19 +254,17 @@ def two_solve_certificate(problem) -> tuple[np.ndarray, str] | None:
         if not np.isfinite(duals).all():
             return None
         reduced = c - duals @ a
-        reduced[cols] = 0.0
-        if not (reduced <= FEASIBILITY_TOL).all():
+        reduced[~dropped] = 0.0
+        bound = FEASIBILITY_TOL * np.minimum(1.0, np.abs(a).max(axis=0, initial=0.0))
+        if not (reduced <= bound).all():
             return None
         if (duals >= -FEASIBILITY_TOL).all():
-            x = np.zeros(c.size)
-            x[cols] = x_basic[rows]
+            x[dropped] = 0.0
             return x, path
         if path == "repaired":
             return None
         path = "repaired"
         dropped = duals < -FEASIBILITY_TOL
-        rows = (~dropped).nonzero()[0]
-        cols = cols[rows]
         basis_matrix[:, dropped] = 0.0
         basis_matrix[dropped, dropped] = 1.0
         basic_costs[dropped] = 0.0

@@ -19,10 +19,10 @@ from wpcn_sched.stm import throughput_lp
 from helpers import exact_vertex_max, random_instance, two_solve_certificate, vertex_enum_max
 
 
-def lp(c, a, b, start=None) -> LpProblem:
+def lp(c, a, b, tight_start=False) -> LpProblem:
     return LpProblem(objective=np.array(c, dtype=float),
                      constraint_matrix=np.array(a, dtype=float),
-                     rhs=np.array(b, dtype=float), start=start)
+                     rhs=np.array(b, dtype=float), tight_start=tight_start)
 
 
 def random_bounded_lp(rng, n, m_extra):
@@ -40,6 +40,8 @@ class TestProblemValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             lp([1.0, 2.0], [[1.0]], [1.0])
+        with pytest.raises(ValueError, match="constraint_matrix a matrix"):
+            lp([1.0], [1.0], [1.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -54,7 +56,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="rhs must be >= 0"):
             lp([1.0], [[1.0]], [-1.0])
         with pytest.raises(ValueError, match="rhs must be >= 0"):
-            lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, -1e-300], start=(0, 1))
+            lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, -1e-300], tight_start=True)
 
     def test_negative_zero_rhs_is_zero(self):
         # -0.0 passes the sign check and enters the tableau as +0.0
@@ -62,17 +64,14 @@ class TestProblemValidation:
         assert solution.status is LpStatus.OPTIMAL
         assert solution.x.tolist() == [0.0] and not np.signbit(solution.x[0])
 
-    @pytest.mark.parametrize("start", [(0,), (0, 0), (0, 2), (-1, 0), (0, 1, 2)],
-                             ids=["too-few", "repeated", "past-the-end", "negative",
-                                  "too-many"])
-    def test_bad_start_rejected(self, start):
-        with pytest.raises(ValueError, match="start must name 2 distinct columns"):
-            lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], start=start)
-
-    def test_start_is_kept_as_a_tuple(self):
-        problem = lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0],
-                     start=np.array([1, 0]))
-        assert problem.start == (1, 0)
+    # A tight start makes every variable basic, one per row: too few or too
+    # many rows for the two variables leave no such basis.
+    @pytest.mark.parametrize("a, b", [([[1.0, 0.0]], [1.0]),
+                                      ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0])],
+                             ids=["too-few", "too-many"])
+    def test_bad_start_rejected(self, a, b):
+        with pytest.raises(ValueError, match="tight_start needs a square constraint_matrix"):
+            lp([1.0, 1.0], a, b, tight_start=True)
 
 
 class TestHandCases:
@@ -113,9 +112,9 @@ class TestHandCases:
             [0.0, 0.0, 1.0])
         solution = solve(problem)
         assert solution.status is LpStatus.OPTIMAL
-        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix,
-                                 problem.rhs)
-        assert abs(solution.objective_value - oracle) < 1e-9
+        oracle = exact_vertex_max(problem.objective, problem.constraint_matrix,
+                                  problem.rhs)
+        assert abs(solution.objective_value - float(oracle)) < 1e-9
 
     def test_ratio_tie_goes_to_smallest_basic_variable(self):
         # Pivots: x0 enters row 2, x1 enters row 1, then x3 ties rows 0 and
@@ -130,9 +129,8 @@ class TestHandCases:
         solution = solve(problem)
         assert solution.status is LpStatus.OPTIMAL
         assert np.allclose(solution.x, [0.0, 2.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
-        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix,
-                                 problem.rhs)
-        assert abs(solution.objective_value - oracle) < 1e-9
+        assert exact_vertex_max(problem.objective, problem.constraint_matrix,
+                                problem.rhs) == 4
 
     def test_round_off_residue_is_not_a_pivot(self):
         # maximize 2y + z  s.t.  -x + y + z <= 2, 2y - z <= 0, x - z <= 2.
@@ -172,9 +170,9 @@ class TestHandCases:
                       [2.0, -1.0, 1e-14],
                       [2.0, -2.0, 1e-14]],
                      [0.0, 1.0, 0.0, 1.0, 1.0])
-        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix,
-                                 problem.rhs)
-        assert abs(oracle - 1.2) < 1e-9
+        oracle = exact_vertex_max(problem.objective, problem.constraint_matrix,
+                                  problem.rhs)
+        assert abs(float(oracle) - 1.2) < 1e-9
         with pytest.raises(NumericalBreakdown, match="column 2"):
             solve(problem)
 
@@ -202,14 +200,15 @@ class TestOracleEquivalence:
             problem = random_bounded_lp(rng, 3, 2)
             solution = solve(problem)
             assert solution.status is LpStatus.OPTIMAL
-            oracle = vertex_enum_max(problem.objective,
-                                     problem.constraint_matrix, problem.rhs)
-            assert abs(solution.objective_value - oracle) < 1e-9
+            oracle = exact_vertex_max(problem.objective,
+                                      problem.constraint_matrix, problem.rhs)
+            assert abs(solution.objective_value - float(oracle)) < 1e-9
 
     def test_degenerate_structures(self):
         # zero rhs entries, duplicated rows, and implied equalities
         # (a.x <= 0 and -a.x <= 0) exercise degenerate pivots; the box row
-        # keeps every draw bounded
+        # keeps every draw bounded. Integer data suits the float oracle;
+        # exact enumeration is about 8 times slower here.
         rng = np.random.default_rng(2718)
         for trial in range(500):
             n = int(rng.integers(1, 5))
@@ -256,7 +255,7 @@ class TestDeterminism:
 
 
 class TestCertifiedStart:
-    """A start basis is returned only when its vertex passes the simplex's
+    """A tight start is returned only when its vertex passes the simplex's
     optimality test; any other start gives the cold solve's result."""
 
     @staticmethod
@@ -267,89 +266,108 @@ class TestCertifiedStart:
     def no_pivoting(self, monkeypatch):
         monkeypatch.setattr(lp_module, "_run_simplex", self.no_simplex)
 
-    @pytest.mark.parametrize("c, a, b, start, x, path", [
+    @pytest.mark.parametrize("c, a, b, x, path", [
         # x0 + x1 <= 1 and x0 <= 0.3, both tight at the optimum
-        ([2.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.3], (1, 0), [0.3, 0.7], "certified"),
+        ([2.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.3], [0.3, 0.7], "certified"),
         # (1, 1) is feasible, but x1 <= 1 has dual -1: slack 1 replaces x1,
         # and (x0, s1) = (1, 1) certifies (x1 prices out at -1)
-        ([1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], (0, 1), [1.0, 0.0], "repaired"),
+        ([1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [1.0, 0.0], "repaired"),
     ], ids=["shared-budget", "repaired-slack"])
-    def test_optimal_start_is_returned_without_pivoting(self, no_pivoting, c, a, b,
-                                                        start, x, path):
-        problem = lp(c, a, b, start=start)
+    def test_optimal_start_is_returned_without_pivoting(self, no_pivoting, c, a, b, x, path):
+        problem = lp(c, a, b, tight_start=True)
         solution = solve(problem)
         assert solution.status is LpStatus.OPTIMAL
         assert (solution.path, solution.pivots) == (path, 0)
         assert solution.x.tolist() == pytest.approx(x, abs=1e-15)
         assert solution.objective_value == float(problem.objective @ solution.x)
 
-    @pytest.mark.parametrize("c, a, b, start, path", [
+    @pytest.mark.parametrize("c, a, b, path", [
         # x0 + x1 = 1 and x0 - x1 = 2 meet at (1.5, -0.5)
-        ([2.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 2.0], (0, 1), "pivoted"),
+        ([2.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 2.0], "pivoted"),
         # (1, 1) is feasible, but loosening x1 <= 1 gains (its dual is -1);
         # the repair finds the cold solve's vertex
-        ([1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], (0, 1), "repaired"),
-        # x0 = 1 is feasible, but x1 prices out at 2 - 1 = 1
-        ([1.0, 2.0], [[1.0, 1.0]], [1.0], (0,), "pivoted"),
+        ([1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], "repaired"),
+        # (0, 0.5, 1) has dual -5e-5 on row 0; after slack 0 replaces x0,
+        # x0's reduced cost 5e-10 is below FEASIBILITY_TOL but large next to
+        # its 1e-5 entries, so the repair is refused: the optimum has x0 = 1e5
+        ([5e-10, 2.0, 0.0], [[-1e-5, 2.0, 0.0], [1e-5, -2.0, 1.0], [0.0, 2.0, 0.0]],
+         [1.0, 0.0, 1.0], "pivoted"),
         # the two rows are parallel: no basis
-        ([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], (0, 1), "pivoted"),
+        ([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], "pivoted"),
         # (0, 0.5) has duals (-0.5, 1); after slack 0 replaces x0, the
         # vertex (s0, x1) = (0, 0.5) has duals (0, 0.5) and x0 prices out at
         # 2 - 0.5 = 1.5
-        ([2.0, 1.0], [[-2.0, 2.0], [1.0, 2.0]], [1.0, 1.0], (0, 1), "pivoted"),
+        ([2.0, 1.0], [[-2.0, 2.0], [1.0, 2.0]], [1.0, 1.0], "pivoted"),
         # (0, 2) has duals (-1, 0); after slack 0 replaces x0, the vertex
         # (s0, x1) = (0, 2) has duals (0, -1): a new negative dual
-        ([1.0, -1.0], [[-1.0, 1.0], [2.0, 1.0]], [2.0, 2.0], (0, 1), "pivoted"),
+        ([1.0, -1.0], [[-1.0, 1.0], [2.0, 1.0]], [2.0, 2.0], "pivoted"),
         # the vertex (1, 1) is finite and nonnegative, but its first dual
         # -1e200 / 1e-200 overflows to -inf
-        ([-1e200, 1.0], [[1e-200, 0.0], [0.0, 1.0]], [1e-200, 1.0], (0, 1), "pivoted"),
+        ([-1e200, 1.0], [[1e-200, 0.0], [0.0, 1.0]], [1e-200, 1.0], "pivoted"),
         # the vertex (2, -0.0) is finite and nonnegative, but its first dual
         # (2^500 - 1) / 2^-600 overflows to +inf
-        ([2.0 ** 500, 1.0], [[2.0 ** -600, 0.0], [1.0, 1.0]], [2.0 ** -599, 2.0], (0, 1),
-         "pivoted"),
+        ([2.0 ** 500, 1.0], [[2.0 ** -600, 0.0], [1.0, 1.0]], [2.0 ** -599, 2.0], "pivoted"),
         # 1e200 / 1e-200 overflows: the vertex is (inf, 1)
-        ([-1.0, 1.0], [[1e-200, 0.0], [0.0, 1.0]], [1e200, 1.0], (0, 1), "pivoted"),
+        ([-1.0, 1.0], [[1e-200, 0.0], [0.0, 1.0]], [1e200, 1.0], "pivoted"),
         # back substitution meets inf - inf: the vertex is (nan, nan, inf)
         ([-1.0, -1.0, 1.0], [[1.0, 1.0, 1.0], [0.0, 1e-200, 0.0], [0.0, 0.0, 1e-200]],
-         [1.0, 1e200, 1e200], (0, 1, 2), "pivoted"),
+         [1.0, 1e200, 1e200], "pivoted"),
     ], ids=["primal-infeasible", "dual-infeasible-slack", "dual-infeasible-column",
             "singular", "repair-prices-out", "repair-dual-negative",
             "dual-minus-inf", "dual-plus-inf", "vertex-inf", "vertex-nan"])
-    def test_failed_certificate_falls_back_to_the_cold_solve(self, c, a, b, start, path):
-        problem = lp(c, a, b, start=start)
+    def test_failed_certificate_falls_back_to_the_cold_solve(self, c, a, b, path):
+        problem = lp(c, a, b, tight_start=True)
         warm = solve(problem)
-        cold = solve(dataclasses.replace(problem, start=None))
+        cold = solve(dataclasses.replace(problem, tight_start=False))
         assert warm.status is cold.status is LpStatus.OPTIMAL
         assert (warm.path, cold.path) == (path, "pivoted")
         assert cold.pivots > 0
         assert warm.pivots == (cold.pivots if path == "pivoted" else 0)
         assert warm.x.tobytes() == cold.x.tobytes()
         assert warm.objective_value == cold.objective_value
-        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix,
-                                 problem.rhs)
-        assert abs(warm.objective_value - oracle) < 1e-9
+        oracle = exact_vertex_max(problem.objective, problem.constraint_matrix,
+                                  problem.rhs)
+        assert abs(warm.objective_value - float(oracle)) < 1e-9
+
+    def test_repair_holds_a_dropped_column_to_the_scaled_rule(self):
+        # The start (0, 0.5) has dual -1e4 on row 0; after slack 0 replaces
+        # x0, x0's reduced cost 2e-10 passes FEASIBILITY_TOL, but its entries
+        # are 2e-14: the optimum is x0 = 5e13, objective 1e4, which the
+        # tolerances cannot resolve. Held only to FEASIBILITY_TOL, the repair
+        # returns 0.0.
+        problem = lp([2e-10, 0.0], [[-2e-14, 0.0], [2e-14, 2.0]], [0.0, 1.0],
+                     tight_start=True)
+        assert exact_vertex_max(problem.objective, problem.constraint_matrix,
+                                problem.rhs) == pytest.approx(1e4, rel=1e-12)
+        assert lp_module._certified_start(problem) is None
+        with pytest.raises(NumericalBreakdown, match="column 0"):
+            solve(problem)
 
     def test_stacked_certificate_matches_the_two_solve_reference(self):
-        # Random starts whose vertex is often nonnegative, with some entries
-        # scaled by 1e±160 so that vertices and duals also overflow to
-        # infinity or NaN: every outcome, rejections included, is the same.
+        # Random square tight starts whose vertex is often nonnegative, with
+        # some entries scaled by 1e±160 so that vertices and duals also
+        # overflow to infinity or NaN: every outcome, rejections included,
+        # is the same.
         rng = np.random.default_rng(8)
         outcomes = set()
         for _ in range(2000):
             m = int(rng.integers(1, 6))
-            n = m + int(rng.integers(0, 3))
-            scale = 10.0 ** (rng.choice([0, 0, 0, -160, 160], size=(m, n))
-                             * (rng.random((m, n)) < 0.25))
-            a = rng.uniform(-1.0, 1.0, (m, n)) * scale * (rng.random((m, n)) < 0.85)
-            start = tuple(int(j) for j in rng.permutation(n)[:m])
+            scale = 10.0 ** (rng.choice([0, 0, 0, -160, 160], size=(m, m))
+                             * (rng.random((m, m)) < 0.25))
+            a = rng.uniform(-1.0, 1.0, (m, m)) * scale * (rng.random((m, m)) < 0.85)
             vertex = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.8)
-            c = rng.uniform(-0.5, 1.0, n) * 10.0 ** rng.choice([0, 0, 0, 160], size=n)
+            c = rng.uniform(-0.5, 1.0, m) * 10.0 ** rng.choice([0, 0, 0, 160], size=m)
+            # One column, cost included, scaled by up to 1e-14: when the
+            # repair drops it, its reduced cost meets the scaled rule.
+            tiny = int(rng.integers(m))
+            a[:, tiny] *= 10.0 ** -rng.choice([0, 0, 5, 14])
+            c[tiny] *= 10.0 ** -rng.choice([0, 5, 14])
             with np.errstate(all="ignore"):   # overflows are part of the draw
                 # |.| keeps rhs >= 0, as LpProblem requires
-                b = np.abs(a[:, list(start)] @ vertex + rng.uniform(-0.01, 0.05, m))
+                b = np.abs(a @ vertex + rng.uniform(-0.01, 0.05, m))
                 if not np.isfinite(b).all():
                     continue
-                problem = lp(c, a, b, start=start)
+                problem = lp(c, a, b, tight_start=True)
                 stacked = lp_module._certified_start(problem)
                 reference = two_solve_certificate(problem)
             if reference is None:
@@ -360,18 +378,18 @@ class TestCertifiedStart:
             outcomes.add(None if stacked is None else stacked[1])
         assert outcomes == {None, "certified", "repaired"}
 
-    @pytest.mark.parametrize("c, a, b, start, status", [
-        ([1.0], [[-1.0]], [1.0], (0,), LpStatus.UNBOUNDED),
+    @pytest.mark.parametrize("c, a, b, status", [
+        ([1.0], [[-1.0]], [1.0], LpStatus.UNBOUNDED),
     ], ids=["unbounded"])
-    def test_non_optimal_status_survives_a_start(self, c, a, b, start, status):
-        assert solve(lp(c, a, b, start=start)).status is status
+    def test_non_optimal_status_survives_a_start(self, c, a, b, status):
+        assert solve(lp(c, a, b, tight_start=True)).status is status
 
     def test_throughput_lp_certifies_without_pivoting(self, monkeypatch):
         # A pinned N=6 instance in the benchmark's regime whose all-slots-basic
         # vertex is optimal: a certificate that never holds fails here.
         problem = throughput_lp(random_instance(seed=6, n_users=6, battery_max=0.001),
                                 [3, 1, 4, 6, 5, 2])
-        cold = solve(dataclasses.replace(problem, start=None))
+        cold = solve(dataclasses.replace(problem, tight_start=False))
         with monkeypatch.context() as patch:
             patch.setattr(lp_module, "_run_simplex", self.no_simplex)
             warm = solve(problem)
@@ -388,7 +406,7 @@ class TestCertifiedStart:
         instance = sample(GenConfig(n_users=6, seed=0, system=SystemParams(p_h=8.0, p_max=0.1),
                                     battery_max=0.001, min_distance=1.0))
         problem = throughput_lp(instance, [1, 2, 3, 4, 5, 6])
-        cold = solve(dataclasses.replace(problem, start=None))
+        cold = solve(dataclasses.replace(problem, tight_start=False))
         with monkeypatch.context() as patch:
             patch.setattr(lp_module, "_run_simplex", self.no_simplex)
             warm = solve(problem)
@@ -413,5 +431,5 @@ class TestCertifiedStart:
         assert solution.status is LpStatus.OPTIMAL
         assert (solution.path, solution.pivots) == ("pivoted", 5)
         assert solution.x[0] == 0.0
-        oracle = vertex_enum_max(problem.objective, problem.constraint_matrix, problem.rhs)
-        assert solution.objective_value == pytest.approx(oracle, rel=1e-12)
+        oracle = exact_vertex_max(problem.objective, problem.constraint_matrix, problem.rhs)
+        assert solution.objective_value == pytest.approx(float(oracle), rel=1e-12)

@@ -101,11 +101,21 @@ class TestTypes:
         with pytest.raises(ValueError):
             NetworkInstance(params=make_params(), users=())
 
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_user_index_is_one_based(self, index):
+        instance = NetworkInstance(params=make_params(), users=(make_user(), make_user()))
+        assert instance.user(2) is instance.users[1]
+        with pytest.raises(IndexError, match=f"user index {index} out of range 1..2"):
+            instance.user(index)
+
     def test_slot_and_schedule_sanity(self):
         with pytest.raises(ValueError):
             Slot(user=0, start=0.0, duration=1.0)
         with pytest.raises(ValueError):
             Slot(user=1, start=0.0, duration=-1.0)
+        for start, duration in [(math.nan, 1.0), (0.0, math.inf)]:
+            with pytest.raises(ValueError, match="slot times must be finite"):
+                Slot(user=1, start=start, duration=duration)
         with pytest.raises(ValueError):
             Schedule(tau0=-0.1)
         assert Schedule(tau0=0.5).length == 0.5
@@ -285,6 +295,15 @@ class TestPerUserQuantities:
         user = no_harvest_user(demand_bits=100.0, battery=1.0)
         assert harvest_rate(params, user) == 0.0
         assert s_min(params, user) == -tau_min(params, user)
+
+    def test_s_min_overflow_infeasible(self):
+        # A subnormal downlink gain harvests about 4e-321 W: positive, but
+        # the start time needed to afford 100 s of transmission overflows.
+        params = make_params()
+        user = make_user(downlink_gain=1e-320)
+        assert 0.0 < harvest_rate(params, user) < 1e-300
+        with pytest.raises(Infeasible, match="harvest rate too small"):
+            s_min(params, user)
 
     def test_s_min_no_harvest_infeasible(self):
         params = SystemParams(p_h=1.0, p_max=1.0, bandwidth=1e6,

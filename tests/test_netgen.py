@@ -68,6 +68,8 @@ class TestConfig:
             base_config(battery_max=-1.0)
         with pytest.raises(ValueError):
             base_config(min_distance=10.0)  # must be < radius
+        with pytest.raises(ValueError, match="demand_bits must be positive"):
+            base_config(demand_bits=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_every_float_field_must_be_finite(self, bad):

@@ -145,7 +145,7 @@ def test_throughput_lp_is_the_loop_built_lp_byte_for_byte(data):
     assert gathered.objective.tobytes() == c.tobytes()
     assert gathered.constraint_matrix.tobytes() == a.tobytes()
     assert gathered.rhs.tobytes() == b.tobytes()
-    assert gathered.start == problem.start
+    assert gathered.tight_start and problem.tight_start
 
 
 def generated_instances(n_users, demand_bits=st.sampled_from([10.0, 100.0, 1000.0]),
@@ -170,7 +170,7 @@ def generated_instances_and_orders(draw):
     return instance, draw(st.permutations(range(1, instance.n_users + 1)))
 
 
-# An order whose start vertex has a negative dual, so the repair runs.
+# An order whose tight start has a negative dual, so the repair runs.
 @example((sample(GenConfig(n_users=6, seed=9, system=SystemParams(p_h=8.0, p_max=0.1),
                            battery_max=1e-3, min_distance=1.0)),
           [1, 2, 5, 4, 6, 3]))
@@ -180,7 +180,7 @@ def test_certified_start_matches_the_cold_solve(data):
     problem = throughput_lp(instance, order)
     warm = solve(problem)
     event(warm.path)
-    cold = solve(dataclasses.replace(problem, start=None))
+    cold = solve(dataclasses.replace(problem, tight_start=False))
     assert warm.status is cold.status is LpStatus.OPTIMAL
     assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
     assert np.all(np.abs(warm.x - cold.x) <= 1e-12 * np.maximum(1.0, np.abs(cold.x)))
