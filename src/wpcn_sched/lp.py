@@ -55,6 +55,12 @@ class LpProblem:
     variable is basic and every row tight at the optimum. ``solve`` tries
     that vertex, or its repair, before pivoting; the flag never changes
     which problem is solved.
+
+    The fields hold float arrays, the caller's own where they already are.
+    Construction raises ValueError, in this order, on wrong dimensions, on
+    a NaN or infinite entry (one count of ``np.isfinite`` over all three
+    arrays), on a negative rhs entry (a Python ``min`` over its list; -0.0
+    passes) and on ``tight_start`` with a non-square matrix.
     """
 
     objective: np.ndarray
@@ -68,17 +74,23 @@ class LpProblem:
         b = np.asarray(self.rhs, dtype=float)
         if a.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise ValueError("objective and rhs must be vectors, constraint_matrix a matrix")
-        if a.shape != (b.size, c.size):
-            raise ValueError(
-                f"inconsistent dimensions: A is {a.shape}, c has {c.size}, b has {b.size}")
-        if not np.isfinite(np.concatenate((a.ravel(), b, c))).all():
+        m, n = b.size, c.size
+        if a.shape != (m, n):
+            raise ValueError(f"inconsistent dimensions: A is {a.shape}, c has {n}, b has {m}")
+        # count_nonzero and a list's min skip the Python wrappers of .all()
+        # and b.min(), which cost more than the checks on 7 rows
+        if np.count_nonzero(np.isfinite(np.concatenate((a.ravel(), b, c)))) != a.size + m + n:
             raise ValueError("all entries must be finite")
-        if min(b.tolist(), default=0.0) < 0.0:   # cheaper than b.min() on 7 rows
-            raise ValueError(f"rhs must be >= 0, got {min(b.tolist())!r}")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraint_matrix", a)
-        object.__setattr__(self, "rhs", b)
-        if self.tight_start and b.size != c.size:
+        b_values = b.tolist()
+        if b_values and min(b_values) < 0.0:
+            raise ValueError(f"rhs must be >= 0, got {min(b_values)!r}")
+        if c is not self.objective:   # np.asarray copied or converted it
+            object.__setattr__(self, "objective", c)
+        if a is not self.constraint_matrix:
+            object.__setattr__(self, "constraint_matrix", a)
+        if b is not self.rhs:
+            object.__setattr__(self, "rhs", b)
+        if self.tight_start and m != n:
             raise ValueError(f"tight_start needs a square constraint_matrix, got {a.shape}")
 
 
@@ -141,6 +153,8 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray) -> tuple[bool, int]:
     """Pivot until optimal (True) or unbounded (False), and count the pivots.
     The objective row must hold the reduced costs of the current basis."""
     reduced = tableau[-1, :-1]   # a view: each pivot updates it
+    if not reduced.size:   # no variables and no rows: nothing can enter
+        return True, 0
     for pivots in range(_MAX_ITERATIONS):
         improving = reduced > FEASIBILITY_TOL
         entering = int(improving.argmax())   # Bland: the smallest improving column
@@ -166,8 +180,10 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     else ``None``.
 
     Every variable is basic at the start, so its only nonbasic reduced
-    costs are the slacks' -y: it passes when x = A^-1 b >= 0 and
-    y = A^-T c >= -FEASIBILITY_TOL. When only duals fail, each row with a
+    costs are the slacks' -y: it passes when every entry of x = A^-1 b and
+    y = A^-T c is finite (one count of ``np.isfinite``, so no NaN reaches a
+    comparison), min(x) >= 0 and min(y) >= -FEASIBILITY_TOL (both minima
+    from one ``np.minimum.reduce``). When only duals fail, each row with a
     negative one trades its column for its slack (basis column e_i, cost 0)
     and the test runs once more, now also on the dropped columns' reduced
     costs c_j - y.A_j, held to FEASIBILITY_TOL and to the simplex's exit
@@ -190,21 +206,23 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
             solution = np.linalg.solve(lhs, rhs)[:, :, 0]   # [x, y]
         except np.linalg.LinAlgError:
             return None
-        # x >= 0 and y > -inf by their minima, neither +inf by the joint
-        # maximum (the initial 0s cover m = 0). A NaN fails every comparison.
-        x_low, lowest = solution.min(axis=1, initial=0.0).tolist()
-        if not (0.0 <= x_low and -np.inf < lowest and solution.max(initial=0.0) < np.inf):
+        # count_nonzero and the ufunc's reduce skip the Python wrappers of
+        # .all() and .min(); the initial 0s cover m = 0
+        if np.count_nonzero(np.isfinite(solution)) != 2 * m:
             return None
-        x, duals = solution
+        x_low, lowest = np.minimum.reduce(solution, axis=1, initial=0.0).tolist()
+        if x_low < 0.0:
+            return None
+        x = solution[0]
         if path == "repaired":
-            reduced = c - duals @ a
+            reduced = c - solution[1] @ a
             reduced[~dropped] = 0.0
             if not reduced.max() <= FEASIBILITY_TOL or _hidden(reduced, a).any():
                 return None
             x[dropped] = 0.0   # their slacks are basic in those rows
         if lowest >= -FEASIBILITY_TOL:
             return x, path
-        dropped = duals < -FEASIBILITY_TOL
+        dropped = solution[1] < -FEASIBILITY_TOL
         lhs[0, :, dropped] = 0.0
         lhs[1, dropped] = 0.0
         lhs[:, dropped, dropped] = 1.0
@@ -242,8 +260,8 @@ def solve(problem: LpProblem) -> LpSolution:
         certified = _certified_start(problem)
         if certified is not None:
             x, path = certified
-            return LpSolution(status=LpStatus.OPTIMAL, x=x,
-                              objective_value=float(c @ x), path=path)
+            # c.dot(x) is c @ x (the same BLAS dot) without matmul's ufunc overhead
+            return LpSolution(LpStatus.OPTIMAL, x, float(c.dot(x)), path)
 
     # The slack basis is feasible (b >= 0) and costs nothing, so the last
     # row, the objective row, starts as c with no pricing.

@@ -177,7 +177,8 @@ class Schedule:
     slots: tuple[Slot, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slots", tuple(self.slots))
+        if type(self.slots) is not tuple:   # layout already passes one
+            object.__setattr__(self, "slots", tuple(self.slots))
         if not math.isfinite(self.tau0) or self.tau0 < 0:
             raise ValueError("tau0 must be finite and >= 0")
 
@@ -427,7 +428,7 @@ def layout(tau0: float, pairs: Iterable[tuple[int, float]]) -> Schedule:
             raise Infeasible(f"slot of user {user} would end past the largest double")
         slots.append(Slot(user, t, duration))
         t = end
-    return Schedule(tau0=tau0, slots=slots)
+    return Schedule(tau0, tuple(slots))
 
 
 # -- canonical JSON representation (used by the CLI) -------------------------

@@ -110,15 +110,16 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int],
     check_order(order, instance.n_users)
     if coefficients is None:
         coefficients = lp_coefficients(instance)
-    c, b, earned = coefficients.take([0, *order], axis=1)
+    columns = coefficients.take([0, *order], axis=1)
+    size = columns.shape[1]
 
     # Row k >= 1 spends p_max in its own slot and earns what is harvested
     # during tau0 and every slot up to its own; row 0 is the frame budget
     # tau0 + sum tau_i <= frame.
-    a = np.where(_lower_triangle(c.size), earned[:, None], 0.0)
+    a = np.where(_lower_triangle(size), columns[2, :, None], 0.0)
     a[0] = 1.0
-    a.ravel()[c.size + 1::c.size + 1] += instance.params.p_max   # diagonal below row 0
-    return lp.LpProblem(objective=c, constraint_matrix=a, rhs=b, tight_start=True)
+    a.ravel()[size + 1::size + 1] += instance.params.p_max   # diagonal below row 0
+    return lp.LpProblem(columns[0], a, columns[1], tight_start=True)
 
 
 def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
@@ -145,10 +146,8 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
             scheduled.append(i)
             pairs.append((i, d))
             throughput += d * r
-    schedule = layout(max(0.0, x[0]), pairs)
     scheduled.sort()
-    return StmSolution(schedule=schedule, throughput=throughput,
-                       scheduled_users=tuple(scheduled))
+    return StmSolution(layout(max(0.0, x[0]), pairs), throughput, tuple(scheduled))
 
 
 def brute_force_stm(instance: NetworkInstance) -> StmSolution:

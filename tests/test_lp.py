@@ -43,13 +43,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="constraint_matrix a matrix"):
             lp([1.0], [1.0], [1.0])
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            lp([np.inf], [[1.0]], [1.0])
-        with pytest.raises(ValueError):
-            lp([1.0], [[np.nan]], [1.0])
-        with pytest.raises(ValueError):
-            lp([1.0], [[1.0]], [-np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("entry", ["c", "A", "b"])
+    def test_nonfinite_rejected(self, entry, value):
+        # The bad entry comes last, after finite ones; a -inf in b fails the
+        # finiteness check before the sign check.
+        arrays = {"c": np.ones(2), "A": np.eye(2), "b": np.ones(2)}
+        arrays[entry].ravel()[-1] = value
+        with pytest.raises(ValueError, match="all entries must be finite"):
+            LpProblem(arrays["c"], arrays["A"], arrays["b"])
 
     def test_negative_rhs_rejected(self):
         # x <= -1 with x >= 0: the one-phase simplex needs x = 0 feasible
@@ -75,6 +77,18 @@ class TestProblemValidation:
 
 
 class TestHandCases:
+    # No variables: x = [] is the optimum, cold and from the tight start.
+    @pytest.mark.parametrize("a, b, tight_start", [
+        (np.zeros((0, 0)), [], False),
+        (np.zeros((0, 0)), [], True),
+        (np.zeros((2, 0)), [1.0, 1.0], False),
+    ], ids=["empty-cold", "empty-tight-start", "rows-only"])
+    def test_lp_without_variables_is_optimal_at_zero(self, a, b, tight_start):
+        solution = solve(lp([], a, b, tight_start=tight_start))
+        assert solution.status is LpStatus.OPTIMAL
+        assert solution.x.shape == (0,) and solution.objective_value == 0.0
+        assert solution.pivots == 0
+
     def test_single_bound(self):
         solution = solve(lp([1.0], [[1.0]], [1.0]))
         assert solution.status is LpStatus.OPTIMAL
@@ -377,6 +391,20 @@ class TestCertifiedStart:
                 assert stacked[0].tobytes() == reference[0].tobytes()
             outcomes.add(None if stacked is None else stacked[1])
         assert outcomes == {None, "certified", "repaired"}
+
+    def test_nan_duals_are_rejected(self):
+        # The vertex (1e148, 1e-100, 1) is finite and nonnegative and no
+        # entry overflows to infinity, but the duals come back (nan, nan,
+        # -0.0): a sign test that let a NaN through would certify this
+        # start (Python's min(0.0, nan, nan, -0.0) is 0.0).
+        problem = lp([0.5, -1e308, 0.0],
+                     [[0.5, -1e300, 1e300], [-1.0, 1e300, -1e200], [-1e160, 1e308, 1e308]],
+                     [1e300, 0.0, 1e300], tight_start=True)
+        with np.errstate(all="ignore"):
+            duals = np.linalg.solve(problem.constraint_matrix.T, problem.objective)
+            assert np.isnan(duals[:2]).all() and not np.isinf(duals).any()
+            assert two_solve_certificate(problem) is None
+            assert lp_module._certified_start(problem) is None
 
     @pytest.mark.parametrize("c, a, b, status", [
         ([1.0], [[-1.0]], [1.0], LpStatus.UNBOUNDED),

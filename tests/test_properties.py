@@ -27,7 +27,7 @@ from wpcn_sched import (
 from wpcn_sched.lp import PIVOT_TOL, LpProblem, LpStatus, NumericalBreakdown, solve
 from wpcn_sched.stm import FRAME_LENGTH, fixed_order_stm, lp_coefficients, throughput_lp
 
-from helpers import exact_vertex_max, vertex_enum_max
+from helpers import exact_vertex_max
 
 
 @st.composite
@@ -53,7 +53,7 @@ def test_simplex_matches_vertex_enumeration(data):
     c, a, b = data
     solution = solve(LpProblem(objective=c, constraint_matrix=a, rhs=b))
     assert solution.status is LpStatus.OPTIMAL
-    assert abs(solution.objective_value - vertex_enum_max(c, a, b)) < 1e-9
+    assert abs(solution.objective_value - float(exact_vertex_max(c, a, b))) < 1e-9
 
 
 @st.composite
