@@ -134,14 +134,11 @@ def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None
     candidates = eligible.nonzero()[0]
     if candidates.size:
         ratios = rhs[candidates] / column[candidates]
-        # ratios[argmin] is ratios.min() without its Python-level wrapper
-        best = ratios[ratios.argmin()]
+        best = ratios.min()
         if (rhs[tiny] < best * column[tiny]).any():
             raise NumericalBreakdown(
                 f"entering column {col}: a pivot below {PIVOT_TOL} would bind first")
         tied = candidates[ratios <= best + _RATIO_TIE_TOL]
-        if tied.size == 1:
-            return int(tied[0])
         return int(tied[basis[tied].argmin()])
     if tiny.any():
         raise NumericalBreakdown(

@@ -2,7 +2,7 @@
 
 The oracles deliberately do not share code with the package: closed forms
 are recomputed with mpmath at 60 digits, and LP optima come from exhaustive
-vertex enumeration.
+vertex enumeration in exact integer arithmetic (:func:`exact_vertex_max`).
 """
 
 from __future__ import annotations
@@ -160,76 +160,63 @@ def rel_err(value: float, reference: mp.mpf) -> float:
 
 # -- LP vertex-enumeration oracle --------------------------------------------
 
-def vertex_enum_max(c: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    feas_tol: float = 1e-8) -> float | None:
-    """Best objective over all basic feasible points of {A x <= b, x >= 0}.
-
-    Enumerates every choice of n constraints out of the m + n available,
-    solves the square system, and keeps feasible intersection points. None
-    means no feasible vertex was found.
-    """
-    c = np.asarray(c, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = a.shape
-    stacked = np.vstack([a, -np.eye(n)])
-    bounds = np.concatenate([b, np.zeros(n)])
-    best = None
-    for rows in itertools.combinations(range(m + n), n):
-        subset = list(rows)
-        try:
-            x = np.linalg.solve(stacked[subset], bounds[subset])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        # Guard against ill-conditioned systems that "solved" badly.
-        if np.max(np.abs(stacked[subset] @ x - bounds[subset])) > 1e-9:
-            continue
-        if np.all(stacked @ x <= bounds + feas_tol):
-            value = float(c @ x)
-            if best is None or value > best:
-                best = value
-    return best
+def _integer_row(values: list[float]) -> list[int]:
+    """``values`` times the least power of two that makes each an integer.
+    Every double is a dyadic rational, so the scaling is exact."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios]
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gauss-Jordan elimination in rationals; None for a singular system."""
-    n = len(rows)
-    aug = [row + [r] for row, r in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _bareiss_solve(aug: list[list[int]]) -> tuple[list[int], int] | None:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the integer system
+    ``[M | r]``: ``(nums, det)`` with ``x = nums / det`` and ``det > 0``, or
+    None for a singular M. Every division is exact."""
+    n = len(aug)
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if aug[i][k]), None)
         if pivot is None:
             return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col] / aug[col][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        p, pivot_row = aug[k][k], aug[k]
+        aug = [row if i == k else [(p * v - row[k] * w) // prev for v, w in zip(row, pivot_row)]
+               for i, row in enumerate(aug)]
+        prev = p
+    nums = [row[-1] for row in aug]
+    return (nums, prev) if prev > 0 else ([-v for v in nums], -prev)
 
 
-def exact_vertex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> Fraction | None:
-    """:func:`vertex_enum_max` in exact rational arithmetic: each double is
-    the fraction it denotes, and a vertex is feasible only if it satisfies
-    every constraint exactly. vertex_enum_max's 1e-8 tolerance accepts
-    points that break a constraint with entries near 1e-14, which is the
-    wrong optimum this oracle must tell apart."""
+def exact_vertex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> Fraction:
+    """Best objective over all basic feasible points of {A x <= b, x >= 0},
+    in exact arithmetic: each double is the fraction it denotes.
+
+    Every choice of n constraints out of the m + n available is a square
+    system; the chosen bounds x_j >= 0 fix those x_j to 0, and the chosen
+    rows of A solve for the rest. A vertex is feasible only if it satisfies
+    every constraint exactly. Needs b >= 0, so x = 0 is always a vertex.
+    """
     m, n = a.shape
-    rows = [[Fraction(v) for v in row] for row in a.tolist()]
-    rows += [[Fraction(-int(i == j)) for j in range(n)] for i in range(n)]
-    bounds = [Fraction(v) for v in b.tolist()] + [Fraction(0)] * n
-    cost = [Fraction(v) for v in c.tolist()]
-    best = None
+    rows = [_integer_row(row) for row in np.column_stack([a, b]).tolist()]
+    *cost, cost_scale = _integer_row(c.tolist() + [1.0])   # [c | 1] scaled
+    values = []
     for subset in itertools.combinations(range(m + n), n):
-        x = _solve_exact([rows[i] for i in subset], [bounds[i] for i in subset])
-        if x is None or any(sum(map(Fraction.__mul__, row, x)) > bound
-                            for row, bound in zip(rows, bounds)):
+        free = [j for j in range(n) if m + j not in subset]
+        solved = _bareiss_solve([[rows[r][j] for j in free] + [rows[r][n]]
+                                 for r in subset if r < m])
+        if solved is None:
             continue
-        value = sum(map(Fraction.__mul__, cost, x))
-        if best is None or value > best:
-            best = value
-    return best
+        free_nums, det = solved
+        if min(free_nums, default=0) < 0:
+            continue
+        nums = [0] * n
+        for j, v in zip(free, free_nums):
+            nums[j] = v
+        # map stops at the end of nums: A_r . nums <= b_r * det, exactly
+        if any(sum(map(int.__mul__, row, nums)) > row[n] * det for row in rows):
+            continue
+        values.append(Fraction(sum(map(int.__mul__, cost, nums)), cost_scale * det))
+    return max(values)
 
 
 def two_solve_certificate(problem) -> tuple[np.ndarray, str] | None:

@@ -16,7 +16,7 @@ from wpcn_sched.lp import (
 )
 from wpcn_sched.stm import throughput_lp
 
-from helpers import exact_vertex_max, random_instance, two_solve_certificate, vertex_enum_max
+from helpers import exact_vertex_max, random_instance, two_solve_certificate
 
 
 def lp(c, a, b, tight_start=False) -> LpProblem:
@@ -52,6 +52,20 @@ class TestProblemValidation:
         arrays[entry].ravel()[-1] = value
         with pytest.raises(ValueError, match="all entries must be finite"):
             LpProblem(arrays["c"], arrays["A"], arrays["b"])
+
+    @pytest.mark.parametrize("tight_start", [False, True], ids=["cold", "tight"])
+    def test_lists_and_int_arrays_become_float_arrays(self, tight_start):
+        c, a, b = [1, 1], [[2, 1], [1, 3]], [4, 6]
+        floats = [np.array(v, dtype=float) for v in (c, a, b)]
+        solutions = []
+        for args in ([c, a, b], [np.array(v) for v in (c, a, b)], floats):
+            problem = LpProblem(*args, tight_start=tight_start)
+            fields = (problem.objective, problem.constraint_matrix, problem.rhs)
+            assert all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in fields)
+            solutions.append(solve(problem))
+        assert all(x is y for x, y in zip(fields, floats))   # float arrays are kept
+        assert len({(s.status, s.x.tobytes(), s.objective_value, s.path)
+                    for s in solutions}) == 1
 
     def test_negative_rhs_rejected(self):
         # x <= -1 with x >= 0: the one-phase simplex needs x = 0 feasible
@@ -221,8 +235,7 @@ class TestOracleEquivalence:
     def test_degenerate_structures(self):
         # zero rhs entries, duplicated rows, and implied equalities
         # (a.x <= 0 and -a.x <= 0) exercise degenerate pivots; the box row
-        # keeps every draw bounded. Integer data suits the float oracle;
-        # exact enumeration is about 8 times slower here.
+        # keeps every draw bounded.
         rng = np.random.default_rng(2718)
         for trial in range(500):
             n = int(rng.integers(1, 5))
@@ -241,8 +254,8 @@ class TestOracleEquivalence:
             problem = lp(rng.integers(-3, 4, size=n).astype(float), a, b)
             solution = solve(problem)
             assert solution.status is LpStatus.OPTIMAL
-            oracle = vertex_enum_max(problem.objective, a, b)
-            assert abs(solution.objective_value - oracle) < 1e-9
+            oracle = exact_vertex_max(problem.objective, a, b)
+            assert abs(solution.objective_value - float(oracle)) < 1e-9
 
     def test_solution_invariants(self):
         rng = np.random.default_rng(13)

@@ -120,6 +120,12 @@ class TestTypes:
             Schedule(tau0=-0.1)
         assert Schedule(tau0=0.5).length == 0.5
 
+    def test_schedule_from_a_list_holds_a_tuple(self):
+        schedule = Schedule(0.0, [Slot(1, 0.0, 1.0)])
+        assert schedule.slots == (Slot(1, 0.0, 1.0),)
+        assert type(schedule.slots) is tuple
+        assert hash(schedule) == hash(Schedule(0.0, (Slot(1, 0.0, 1.0),)))
+
     def test_instance_json_roundtrip(self):
         instance = random_instance(seed=7, n_users=3, battery_max=0.2)
         again = instance_from_dict(instance_to_dict(instance))
