@@ -367,6 +367,8 @@ def _cmd_sweep(args) -> int:
     for path in (args.out, args.raw):
         if path:
             _check_writable_target(path)
+    if args.raw and os.path.realpath(args.raw) == os.path.realpath(args.out):
+        raise ConfigError(f"--out and --raw name the same file {args.raw}")
     rows, raw = run_sweep(spec)
     write_csv(rows, args.out)
     if args.raw:

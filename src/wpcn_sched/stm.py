@@ -6,7 +6,9 @@ solution enumerates every order (kept as an oracle for small instances).
 The max-rate-first heuristic instead fills the frame from the back,
 granting the highest-rate users the late, energy-rich slots. The order
 search and the slot layout are shared with the minimum-length solvers:
-:func:`model.best_order` and :func:`model.layout`.
+:func:`model.best_order` and :func:`model.layout`. A solution keeps the
+slots with positive time as (user, duration) pairs and lays them out only
+when its schedule is first read, so the oracle lays out just the winner.
 """
 
 from __future__ import annotations
@@ -30,11 +32,30 @@ class LpFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class StmSolution:
-    """Frame allocation, total throughput in bits, and who got airtime."""
+    """Frame allocation and total throughput in bits.
 
-    schedule: Schedule
+    ``tau0`` is the leading unallocated time and ``pairs`` the (user,
+    duration) of each slot with positive time, in slot order. The schedule
+    is laid out from them on first read and kept.
+    """
+
+    tau0: float
+    pairs: tuple[tuple[int, float], ...]
     throughput: float
-    scheduled_users: tuple[int, ...]
+
+    @functools.cached_property
+    def schedule(self) -> Schedule:
+        """``layout(tau0, pairs)``.
+
+        Raises:
+            Infeasible: the frame would end past the largest double.
+        """
+        return layout(self.tau0, self.pairs)
+
+    @property
+    def scheduled_users(self) -> tuple[int, ...]:
+        """Users with airtime, ascending."""
+        return tuple(sorted(user for user, _ in self.pairs))
 
 
 def mrsa(instance: NetworkInstance) -> StmSolution:
@@ -65,10 +86,9 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
         if remaining == 0.0:
             break
 
-    schedule = layout(remaining, [(i, tau) for i, tau in reversed(granted) if tau > 0.0])
+    pairs = tuple((i, tau) for i, tau in reversed(granted) if tau > 0.0)
     throughput = sum((tau * rates[i - 1] for i, tau in granted), 0.0)
-    scheduled = tuple(sorted(s.user for s in schedule.slots))
-    return StmSolution(schedule=schedule, throughput=throughput, scheduled_users=scheduled)
+    return StmSolution(remaining, pairs, throughput)
 
 
 def lp_coefficients(instance: NetworkInstance) -> np.ndarray:
@@ -139,15 +159,13 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
         raise LpFailure(f"time-allocation LP came back {solution.status.value}")
 
     x = solution.x.tolist()
-    scheduled, pairs = [], []
+    pairs = []
     throughput = 0.0
     for i, d, r in zip(order, x[1:], problem.objective.tolist()[1:]):  # the LP's per-slot rates
         if d > 0.0:
-            scheduled.append(i)
             pairs.append((i, d))
             throughput += d * r
-    scheduled.sort()
-    return StmSolution(layout(max(0.0, x[0]), pairs), throughput, tuple(scheduled))
+    return StmSolution(max(0.0, x[0]), tuple(pairs), throughput)
 
 
 def brute_force_stm(instance: NetworkInstance) -> StmSolution:

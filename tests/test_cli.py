@@ -701,6 +701,20 @@ class TestOutputTarget:
             f"{os.path.realpath(tmp_path / 'nodir')} does not exist\n")
         assert no_work == []
 
+    @pytest.mark.parametrize("raw", ["same.txt", "./same.txt", "absolute"])
+    def test_sweep_out_and_raw_the_same_file(self, tmp_path, capsys, monkeypatch,
+                                              no_work, raw):
+        # The JSONL would silently overwrite the CSV.
+        spec_path = write_json(tmp_path / "spec.json", base_spec_dict())
+        monkeypatch.chdir(tmp_path)
+        if raw == "absolute":
+            raw = str(tmp_path / "same.txt")
+        assert main(["sweep", "--spec", spec_path, "--out", "same.txt", "--raw", raw]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out and --raw name the same file {raw}\n")
+        assert no_work == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_relative_target_in_working_directory(self, tmp_path, monkeypatch):
         config_path = write_json(tmp_path / "gen.json", base_gen_dict())
         monkeypatch.chdir(tmp_path)

@@ -194,7 +194,9 @@ def test_certified_start_matches_the_cold_solve(data):
 def test_fixed_order_stm_is_the_same_with_shared_coefficients(data):
     instance, order = data
     shared = fixed_order_stm(instance, order, lp_coefficients(instance))
-    assert repr(shared) == repr(fixed_order_stm(instance, order))
+    alone = fixed_order_stm(instance, order)
+    assert repr(shared) == repr(alone)
+    assert repr(shared.schedule) == repr(alone.schedule)
 
 
 def mls_or_none(solver, instance):

@@ -20,6 +20,7 @@ from wpcn_sched import (
     validate,
 )
 from wpcn_sched.lp import LpSolution, LpStatus
+from wpcn_sched.model import layout
 from wpcn_sched.stm import LpFailure, lp_coefficients, throughput_lp
 
 from helpers import exact_vertex_max, random_instance
@@ -205,6 +206,21 @@ class TestBruteForce:
         brute_force_stm(random_instance(seed=4, n_users=5, battery_max=0.001))
         assert calls == {"rate": 5, "harvest_rate": 5}
 
+    def test_only_the_winner_is_laid_out(self, monkeypatch):
+        from wpcn_sched import stm as stm_module
+        calls = []
+
+        def counted(tau0, pairs):
+            calls.append(pairs)
+            return layout(tau0, pairs)
+
+        monkeypatch.setattr(stm_module, "layout", counted)
+        solution = brute_force_stm(random_instance(seed=4, n_users=6, battery_max=0.001))
+        assert calls == []
+        solution.schedule
+        solution.schedule
+        assert calls == [solution.pairs]
+
     def test_single_user_equals_fixed_order(self):
         instance = single_user_instance(p_max=0.2, harvest=0.1, battery=0.0)
         assert brute_force_stm(instance) == fixed_order_stm(instance, [1])
@@ -268,3 +284,12 @@ class TestSolutionInvariants:
                 assert solution.scheduled_users == tuple(
                     sorted(s.user for s in solution.schedule.slots))
                 assert all(s.duration > 0 for s in solution.schedule.slots)
+
+    def test_schedule_is_laid_out_once_from_the_pairs(self):
+        for seed in range(10):
+            instance = random_instance(seed=seed, n_users=4, battery_max=0.02)
+            order = [4, 2, 3, 1]
+            for solution in (mrsa(instance), fixed_order_stm(instance, order)):
+                schedule = solution.schedule
+                assert solution.schedule is schedule
+                assert schedule == layout(solution.tau0, solution.pairs)
