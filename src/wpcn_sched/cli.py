@@ -6,8 +6,9 @@ Subcommands:
     sweep  run a Monte Carlo sweep over an axis and write per-point CSV
 
 Exit codes: 0 success, 2 configuration or parse error (a rate that
-overflows, a drawn link gain out of range and too many users for an
-exhaustive solver included), 3 infeasible solve.
+overflows, a drawn link gain out of range, too many users for an
+exhaustive solver and a throughput LP the exact solver cannot resolve
+included), 3 infeasible solve.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import shutil
 import sys
 from dataclasses import dataclass
 
-from . import mls, netgen, stm
+from . import lp, mls, netgen, stm
 from .model import (
     BRUTE_FORCE_LIMIT,
     Infeasible,
@@ -31,6 +32,7 @@ from .model import (
     RateOverflow,
     TooLarge,
     check_types,
+    from_dict,
     instance_from_dict,
     instance_to_dict,
     is_number,
@@ -39,34 +41,28 @@ from .model import (
 )
 from .netgen import RNG_NAME, GenConfig, config_from_dict, config_to_dict, derive_seed, sample
 
-AXES = ("hap_power", "user_power", "n_users")
 PROBLEMS = ("mls", "stm")
 EXACT_RATIO_TOL = 1e-6  # mrsa counts as exactly optimal at ratio >= 1 - this
 
-# Fixed CSV schema; blank cells mean the metric was not computed.
-CSV_COLUMNS = (
-    "axis_value",
-    "trials",
-    "infeasible",
-    "mlsa_length_mean",
-    "mlsa_length_std",
-    "pdo_length_mean",
-    "pdo_length_std",
-    "mrsa_throughput_mean",
-    "mrsa_throughput_std",
-    "opt_throughput_mean",
-    "opt_throughput_std",
-    "mrsa_opt_ratio_mean",
-    "exact_optimal_count",
-)
-
-# Stand-in sweep grids; the interesting qualitative behavior happens inside
-# these ranges with the default generator settings.
-DEFAULT_GRIDS = {
-    "hap_power": (0.5, 1.0, 2.0, 4.0, 8.0),
-    "user_power": (0.01, 0.05, 0.1, 0.5, 1.0),
-    "n_users": (2, 4, 6, 8, 10, 15, 20),
+# Each axis: its stand-in default grid (the interesting qualitative behavior
+# happens inside these ranges with the default generator settings) and the
+# generator config at one value.
+_AXES = {
+    "hap_power": ((0.5, 1.0, 2.0, 4.0, 8.0), lambda gen, value: dataclasses.replace(
+        gen, system=dataclasses.replace(gen.system, p_h=value))),
+    "user_power": ((0.01, 0.05, 0.1, 0.5, 1.0), lambda gen, value: dataclasses.replace(
+        gen, system=dataclasses.replace(gen.system, p_max=value))),
+    "n_users": ((2, 4, 6, 8, 10, 15, 20),
+                lambda gen, value: dataclasses.replace(gen, n_users=int(value))),
 }
+AXES = tuple(_AXES)
+
+# Per-trial metrics reported as a mean and a population std per point.
+METRICS = ("mlsa_length", "pdo_length", "mrsa_throughput", "opt_throughput")
+# Fixed CSV schema; blank cells mean the metric was not computed.
+CSV_COLUMNS = ("axis_value", "trials", "infeasible",
+               *(f"{metric}_{stat}" for metric in METRICS for stat in ("mean", "std")),
+               "mrsa_opt_ratio_mean", "exact_optimal_count")
 
 
 class ConfigError(Exception):
@@ -79,18 +75,26 @@ class ParseError(ConfigError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: an axis, the grid, and the shared generator settings."""
+    """One sweep: an axis, the grid, and the shared generator settings.
+
+    ``values=None`` is the axis's default grid.
+    """
 
     axis: str
-    values: tuple[float, ...]
-    trials: int
     gen: GenConfig
+    values: tuple[float, ...] | None = None
+    trials: int = 100
     problems: tuple[str, ...] = PROBLEMS
     oracle: bool = False
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
+        values = _AXES[self.axis][0] if self.values is None else self.values
+        if not isinstance(values, (list, tuple)) or not all(map(is_number, values)):
+            raise ValueError(f"values must be a list of numbers, got {values!r}")
+        object.__setattr__(self, "values", tuple(values))   # JSON reads lists
+        object.__setattr__(self, "problems", tuple(self.problems))
         if not self.values:
             raise ConfigError("values must be nonempty")
         if self.trials < 1:
@@ -107,42 +111,28 @@ class SweepSpec:
                 raise ConfigError(
                     f"oracle requested with {n_max} users; limit is {BRUTE_FORCE_LIMIT}")
 
+    def config_at(self, value: float) -> GenConfig:
+        """The generator config at one axis value."""
+        return _AXES[self.axis][1](self.gen, value)
+
 
 def spec_from_dict(data: dict, trials_override: int | None = None) -> SweepSpec:
-    """Build a SweepSpec; omitted ``values`` fall back to the default grid.
+    """SweepSpec from a JSON object, read like the generator config it holds.
 
     Every axis point's generator config is built here, so a value the
     model rejects is a ParseError before any trial runs.
     """
     try:
-        gen = config_from_dict(data["gen"])
-        axis = data["axis"]
-        values = data.get("values", DEFAULT_GRIDS.get(axis, ()))
-        if not isinstance(values, (list, tuple)) or not all(map(is_number, values)):
-            raise ValueError(f"values must be a list of numbers, got {values!r}")
-        check_types(SweepSpec, data)
-        trials = data.get("trials", 100)
-        spec = SweepSpec(
-            axis=axis,
-            values=tuple(values),
-            trials=trials if trials_override is None else trials_override,
-            gen=gen,
-            problems=tuple(data.get("problems", PROBLEMS)),
-            oracle=data.get("oracle", False),
-        )
+        data = {**data, "gen": config_from_dict(data["gen"])}
+        if trials_override is not None:
+            check_types(SweepSpec, data)   # the spec's own trials is still checked
+            data["trials"] = trials_override
+        spec = from_dict(SweepSpec, data)
         for value in spec.values:
-            _config_at(gen, axis, value)
+            spec.config_at(value)
         return spec
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad sweep spec: {exc}") from exc
-
-
-def _config_at(gen: GenConfig, axis: str, value: float) -> GenConfig:
-    if axis == "hap_power":
-        return dataclasses.replace(gen, system=dataclasses.replace(gen.system, p_h=value))
-    if axis == "user_power":
-        return dataclasses.replace(gen, system=dataclasses.replace(gen.system, p_max=value))
-    return dataclasses.replace(gen, n_users=int(value))
 
 
 def _checked(instance: NetworkInstance, schedule, check_traffic: bool):
@@ -203,7 +193,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     rows = []
     raw = []
     for value in spec.values:
-        config = _config_at(spec.gen, spec.axis, value)
+        config = spec.config_at(value)
         trials: list[dict] = []
         for t in range(spec.trials):
             trial_config = dataclasses.replace(config, seed=derive_seed(spec.gen.seed, t))
@@ -215,7 +205,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
         row = {"axis_value": value, "trials": spec.trials,
                "infeasible": sum(1 for r in trials if r["infeasible"])}
         # Infeasible trials carry no length keys, so they drop out here.
-        for key in ("mlsa_length", "pdo_length", "mrsa_throughput", "opt_throughput"):
+        for key in METRICS:
             row[f"{key}_mean"], row[f"{key}_std"] = _mean_std([r[key] for r in trials
                                                                  if key in r])
         ratios = [r["mrsa_opt_ratio"] for r in trials if "mrsa_opt_ratio" in r]
@@ -336,10 +326,8 @@ def solve_one(instance: NetworkInstance, problem: str, algorithm: str) -> dict:
 
 def _cmd_gen(args) -> int:
     data = _load_json(args.config)
-    if args.seed is not None:
-        data["seed"] = args.seed
     try:
-        config = config_from_dict(data)
+        config = config_from_dict(data if args.seed is None else {**data, "seed": args.seed})
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad generator config: {exc}") from exc
     _check_writable_target(args.out)
@@ -413,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, RateOverflow, TooLarge,   # ParseError included
-            netgen.GainOutOfRange) as exc:
+            netgen.GainOutOfRange, lp.NumericalBreakdown) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Infeasible as exc:

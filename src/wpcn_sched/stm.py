@@ -14,6 +14,7 @@ when its schedule is first read, so the oracle lays out just the winner.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,15 +94,24 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
 
 def lp_coefficients(instance: NetworkInstance) -> np.ndarray:
     """The throughput LP's per-variable data, one column per variable in
-    user-index order after tau0's column 0: the rates (row 0), the
-    right-hand sides, frame length then batteries (row 1), and the negated
-    harvest rates (row 2). Every order's LP gathers its columns from here.
+    user-index order after tau0's column 0: the objective (row 0), the
+    right-hand sides, frame length then batteries (row 1), the negated
+    harvest rates (row 2) and the rates (row 3). Every order's LP gathers
+    its columns from here.
+
+    The objective is the rates times the power of two that puts the largest
+    in [0.5, 1) (all zero rates stay as they are), so the LP's absolute
+    tolerances see it near 1 whatever the units; only exponents change.
     """
     params = instance.params
     users = instance.users
-    return np.array([[0.0, *(rate(params, u) for u in users)],
-                     [FRAME_LENGTH, *(u.initial_energy for u in users)],
-                     [0.0, *(-harvest_rate(params, u) for u in users)]])
+    rates = [0.0, *(rate(params, u) for u in users)]
+    coefficients = np.array([rates,
+                             [FRAME_LENGTH, *(u.initial_energy for u in users)],
+                             [0.0, *(-harvest_rate(params, u) for u in users)],
+                             rates])
+    np.ldexp(coefficients[3], -math.frexp(max(rates))[1], out=coefficients[0])
+    return coefficients
 
 
 @functools.lru_cache(maxsize=64)
@@ -117,7 +127,8 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int],
     """Time-allocation LP for a fixed transmission order.
 
     Variables are [tau0, tau_order[0], ..., tau_order[-1]]. Maximize the
-    rate-weighted transmission times subject to the frame budget and, per
+    rate-weighted transmission times, the rates scaled as in
+    :func:`lp_coefficients`, subject to the frame budget and, per
     user, spending no more than battery plus what is harvested by the end
     of its own slot. The tight start guesses the usual optimum: every
     variable basic, so the frame is full and every user spends all it has.
@@ -153,18 +164,20 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
             allocation is always feasible, so this indicates a solver
             problem and is never absorbed).
     """
-    problem = throughput_lp(instance, order, coefficients)
-    solution = lp.solve(problem)
+    if coefficients is None:
+        coefficients = lp_coefficients(instance)
+    solution = lp.solve(throughput_lp(instance, order, coefficients))
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise LpFailure(f"time-allocation LP came back {solution.status.value}")
 
     x = solution.x.tolist()
+    rates = coefficients[3].tolist()   # unscaled, indexed by user
     pairs = []
     throughput = 0.0
-    for i, d, r in zip(order, x[1:], problem.objective.tolist()[1:]):  # the LP's per-slot rates
+    for i, d in zip(order, x[1:]):
         if d > 0.0:
             pairs.append((i, d))
-            throughput += d * r
+            throughput += d * rates[i]
     return StmSolution(max(0.0, x[0]), tuple(pairs), throughput)
 
 

@@ -23,6 +23,7 @@ from wpcn_sched.cli import (
     CSV_COLUMNS,
     PROBLEMS,
     ConfigError,
+    SweepSpec,
     main,
     run_sweep,
     solve_one,
@@ -120,6 +121,15 @@ class TestSpecValidation:
         out = tmp_path / "out.csv"
         assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["oracel", "value", "seed"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, key):
+        # Read leniently, a misspelled "oracle" runs with blank oracle columns.
+        spec_path = write_json(tmp_path / "spec.json", {**base_spec_dict(), key: True})
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
+        assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_default_grid_when_values_omitted(self):
@@ -230,6 +240,14 @@ class TestGen:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [[], [1.0], "x", 3, True, None])
+    def test_seed_flag_on_a_non_object_config_exits_2(self, tmp_path, capsys, config):
+        config_path = write_json(tmp_path / "gen.json", config)
+        out = tmp_path / "instance.json"
+        assert main(["gen", "--config", config_path, "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad generator config: ")
+        assert not out.exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         config_path = write_json(tmp_path / "gen.json", base_gen_dict())
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -312,6 +330,35 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: 9 users; permutation search is capped at 8\n"
+
+    def test_lp_the_solver_cannot_resolve_is_2(self, tmp_path, capsys):
+        # Rates and harvest rates over some twenty decades: one order's
+        # throughput LP has only a pivot below lp.PIVOT_TOL to take.
+        payload = {
+            "params": {"p_h": 3.283559369970951, "p_max": 0.14051220473143405,
+                       "bandwidth": 0.7712120096762217,
+                       "noise_density": 7.663165535084854e-18,
+                       "self_interference": 7.557273505831642e-08,
+                       "eh_saturation": 0.06639797851972555, "eh_slope": 44.51186432183628,
+                       "eh_threshold": 0.0},
+            "users": [{"uplink_gain": u, "downlink_gain": d, "initial_energy": e,
+                       "demand_bits": bits} for u, d, e, bits in [
+                (9.892352124063548e-08, 3.356471574232808e-13, 0.0, 6.182392262015497),
+                (1.4890343423094819e-15, 4.317218618923532e-08, 0.0, 335.31060480674716),
+                (1.7318086427344236e-08, 72.01378871703646, 0.0, 30284358450.85997),
+                (44.972361655131095, 1.714684613880096, 7.970608342982443e-06,
+                 12.005055719584925),
+                (0.11687381343877624, 0.00027865069469780224, 2190.753838908373,
+                 671.2469477817141)]],
+        }
+        instance_path = write_json(tmp_path / "instance.json", payload)
+        code = main(["solve", "--instance", instance_path, "--problem", "stm", "--alg", "opt"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "pivot below" in captured.err
+        assert main(["solve", "--instance", instance_path,
+                     "--problem", "stm", "--alg", "mrsa"]) == 0
 
     def test_infeasible_solve_is_3(self, tmp_path, capsys):
         payload = {
@@ -762,6 +809,16 @@ def instance_dicts(draw) -> dict:
     return {"params": params, "users": users}
 
 
+@st.composite
+def sweep_specs(draw) -> dict:
+    """A one-trial spec on an axis's default grid, with up to one field, or
+    a misspelled key, set to odd JSON; the trial count is left alone."""
+    spec = {"axis": draw(st.sampled_from(AXES)), "trials": 1, "gen": draw(gen_dicts()),
+            "oracle": draw(st.booleans())}
+    names = [name for name in field_names(SweepSpec) if name != "trials"]
+    return draw(overridden(spec, [*names, "oracel"], max_size=1))
+
+
 def run_cli(argv: list[str], outputs: list[pathlib.Path]) -> None:
     """cli.main ends in exit code 0, 2 or 3, without a traceback, and writes
     no NaN or Infinity to standard output or to ``outputs``."""
@@ -804,3 +861,19 @@ class TestArbitraryJson:
             out, raw = pathlib.Path(tmp) / "sweep.csv", pathlib.Path(tmp) / "sweep.jsonl"
             run_cli(["sweep", "--spec", write_json(pathlib.Path(tmp) / "spec.json", spec),
                      "--out", str(out), "--raw", str(raw)], [out, raw])
+
+    @given(st.one_of(gen_dicts(), json_values), st.none() | st.integers(-1, 6))
+    def test_gen_any_top_level_with_seed_flag(self, config, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp) / "instance.json"
+            flags = [] if seed is None else ["--seed", str(seed)]
+            run_cli(["gen", "--config", write_json(pathlib.Path(tmp) / "gen.json", config),
+                     "--out", str(out), *flags], [out])
+
+    @given(st.one_of(sweep_specs(), json_values), st.none() | st.integers(-1, 2))
+    def test_sweep_any_top_level_with_trials_flag(self, spec, trials):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp) / "sweep.csv"
+            flags = [] if trials is None else ["--trials", str(trials)]
+            run_cli(["sweep", "--spec", write_json(pathlib.Path(tmp) / "spec.json", spec),
+                     "--out", str(out), *flags], [out])

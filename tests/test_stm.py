@@ -97,6 +97,14 @@ class TestMrsa:
                     assert not seen_zero
 
 
+def throughput_oracle(instance, order):
+    """Exact optimum of the order's LP in bits: its constraints with the
+    unscaled rates as the objective (the LP's own objective is scaled)."""
+    problem = throughput_lp(instance, order)
+    rates = [0.0, *(rate(instance.params, instance.users[i - 1]) for i in order)]
+    return float(exact_vertex_max(np.array(rates), problem.constraint_matrix, problem.rhs))
+
+
 class TestFixedOrder:
     def test_battery_rich_single_user(self):
         instance = single_user_instance(p_max=0.1, harvest=0.001, battery=1.0)
@@ -110,9 +118,7 @@ class TestFixedOrder:
         instance = single_user_instance(p_max=0.2, harvest=0.1, battery=0.0)
         solution = fixed_order_stm(instance, [1])
         assert abs(solution.schedule.slots[0].duration - 0.5) < 1e-9
-        problem = throughput_lp(instance, [1])
-        oracle = float(exact_vertex_max(problem.objective, problem.constraint_matrix,
-                                        problem.rhs))
+        oracle = throughput_oracle(instance, [1])
         assert abs(solution.throughput - oracle) < 1e-9 * max(1.0, abs(oracle))
 
     def test_matches_vertex_oracle_on_random_pairs(self):
@@ -120,9 +126,7 @@ class TestFixedOrder:
             instance = random_instance(seed=seed, n_users=2, battery_max=0.01)
             order = [1, 2] if seed % 2 else [2, 1]
             solution = fixed_order_stm(instance, order)
-            problem = throughput_lp(instance, order)
-            oracle = float(exact_vertex_max(problem.objective,
-                                            problem.constraint_matrix, problem.rhs))
+            oracle = throughput_oracle(instance, order)
             assert abs(solution.throughput - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
     def test_rejects_non_permutation(self):
@@ -237,6 +241,16 @@ class TestBruteForce:
         best = max(rate(params, u) for u in users)
         assert abs(solution.throughput - best) < 1e-9 * best
         assert solution.scheduled_users == (2,)  # only the max-rate user
+
+    def test_tiny_rates_reach_the_heuristic(self):
+        # Rates near 7e-12 bits/s: unscaled, every reduced cost lies below
+        # lp.FEASIBILITY_TOL and each order's LP stops at x = 0.
+        params = SystemParams(p_h=1.0, p_max=0.01, bandwidth=1e-12, noise_density=1e-20)
+        users = tuple(UserProfile(uplink_gain=up, downlink_gain=1e-3, initial_energy=battery)
+                      for up, battery in ((1e-3, 0.01), (2e-3, 0.004), (5e-4, 0.02)))
+        instance = NetworkInstance(params=params, users=users)
+        assert brute_force_stm(instance).throughput == 7.095602559409127e-12
+        assert mrsa(instance).throughput == 7.095602559409127e-12
 
     def test_heuristic_never_beats_oracle(self):
         for seed in range(30):
