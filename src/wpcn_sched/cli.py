@@ -66,18 +66,15 @@ CSV_COLUMNS = ("axis_value", "trials", "infeasible",
 
 
 class ConfigError(Exception):
-    """Invalid sweep/solve configuration."""
-
-
-class ParseError(ConfigError):
-    """Input file is not valid JSON or misses required fields."""
+    """Invalid configuration, or an input file that is unreadable or malformed."""
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: an axis, the grid, and the shared generator settings.
 
-    ``values=None`` is the axis's default grid.
+    ``values=None`` is the axis's default grid. Construction builds every
+    point's generator config: a value the model rejects raises here.
     """
 
     axis: str
@@ -104,12 +101,9 @@ class SweepSpec:
         if self.axis == "n_users":
             if any(not float(v).is_integer() or v < 1 for v in self.values):
                 raise ConfigError("n_users axis values must be positive integers")
-        if self.oracle:
-            n_max = max(int(v) for v in self.values) if self.axis == "n_users" \
-                else self.gen.n_users
-            if n_max > BRUTE_FORCE_LIMIT:
-                raise ConfigError(
-                    f"oracle requested with {n_max} users; limit is {BRUTE_FORCE_LIMIT}")
+        n_max = max(self.config_at(value).n_users for value in self.values)
+        if self.oracle and n_max > BRUTE_FORCE_LIMIT:
+            raise ConfigError(f"oracle requested with {n_max} users; limit is {BRUTE_FORCE_LIMIT}")
 
     def config_at(self, value: float) -> GenConfig:
         """The generator config at one axis value."""
@@ -119,20 +113,16 @@ class SweepSpec:
 def spec_from_dict(data: dict, trials_override: int | None = None) -> SweepSpec:
     """SweepSpec from a JSON object, read like the generator config it holds.
 
-    Every axis point's generator config is built here, so a value the
-    model rejects is a ParseError before any trial runs.
+    A value the model rejects is a ConfigError before any trial runs.
     """
     try:
         data = {**data, "gen": config_from_dict(data["gen"])}
         if trials_override is not None:
             check_types(SweepSpec, data)   # the spec's own trials is still checked
             data["trials"] = trials_override
-        spec = from_dict(SweepSpec, data)
-        for value in spec.values:
-            spec.config_at(value)
-        return spec
+        return from_dict(SweepSpec, data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad sweep spec: {exc}") from exc
+        raise ConfigError(f"bad sweep spec: {exc}") from exc
 
 
 def _checked(instance: NetworkInstance, schedule, check_traffic: bool):
@@ -281,7 +271,7 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def solve_one(instance: NetworkInstance, problem: str, algorithm: str) -> dict:
@@ -327,9 +317,12 @@ def solve_one(instance: NetworkInstance, problem: str, algorithm: str) -> dict:
 def _cmd_gen(args) -> int:
     data = _load_json(args.config)
     try:
-        config = config_from_dict(data if args.seed is None else {**data, "seed": args.seed})
+        if args.seed is not None:
+            check_types(GenConfig, data)   # the config's own seed is still checked
+            data = {**data, "seed": args.seed}
+        config = config_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad generator config: {exc}") from exc
+        raise ConfigError(f"bad generator config: {exc}") from exc
     _check_writable_target(args.out)
     instance = sample(config)
     payload = instance_to_dict(instance)
@@ -344,7 +337,7 @@ def _cmd_solve(args) -> int:
     try:
         instance = instance_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad instance file: {exc}") from exc
+        raise ConfigError(f"bad instance file: {exc}") from exc
     result = solve_one(instance, args.problem, args.alg)
     sys.stdout.write(json.dumps(result, indent=2, allow_nan=False) + "\n")
     return 0
@@ -400,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, RateOverflow, TooLarge,   # ParseError included
+    except (ConfigError, RateOverflow, TooLarge,
             netgen.GainOutOfRange, lp.NumericalBreakdown) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import (ENERGY_TOL, NetworkInstance, Schedule, _energy_balance, _s_min,
-                    best_order, check_order, harvest_rate, layout, s_min, tau_min)
+from .model import (ENERGY_TOL, NetworkInstance, Schedule, _s_min, best_order, check_order,
+                    energy_balance, harvest_rate, layout, s_min, tau_min)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def fixed_order_mls(instance: NetworkInstance, order: Sequence[int]) -> MlsSolut
         # deficit: s_min checked the others' batteries.
         delay = max((-balance / c
                      for user, c, slot in zip(users, harvests, schedule.slots)
-                     if (balance := _energy_balance(params, user, c, slot)) < -ENERGY_TOL),
+                     if (balance := energy_balance(params, user, c, slot)) < -ENERGY_TOL),
                     default=0.0)
         if not delay:
             return MlsSolution(schedule=schedule, length=schedule.length)

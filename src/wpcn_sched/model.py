@@ -327,14 +327,10 @@ def _s_min(params: SystemParams, user: UserProfile, t_min: float, c: float) -> f
     return start
 
 
-def energy_balance(params: SystemParams, user: UserProfile, slot: Slot) -> float:
+def energy_balance(params: SystemParams, user: UserProfile, c: float, slot: Slot) -> float:
     """Battery left when ``slot`` ends, in joules: the initial energy plus
-    what was harvested by then, less what the slot spent."""
-    return _energy_balance(params, user, harvest_rate(params, user), slot)
-
-
-def _energy_balance(params: SystemParams, user: UserProfile, c: float, slot: Slot) -> float:
-    """:func:`energy_balance` from the user's harvest rate ``c``."""
+    what was harvested by then at the user's harvest rate ``c``, less what
+    the slot spent."""
     spent = params.p_max * slot.duration
     return user.initial_energy + c * slot.end - spent
 
@@ -379,7 +375,8 @@ def validate(instance: NetworkInstance, schedule: Schedule,
         user = instance.users[i - 1]
         slot = slots.get(i)
         dur = 0.0 if slot is None else slot.duration
-        energy_ok[i] = slot is None or energy_balance(params, user, slot) >= -ENERGY_TOL
+        energy_ok[i] = slot is None or energy_balance(
+            params, user, harvest_rate(params, user), slot) >= -ENERGY_TOL
         r = rate(params, user)
         throughput += dur * r
         if check_traffic:

@@ -159,7 +159,7 @@ def config_to_dict(config: GenConfig) -> dict:
 
 def config_from_dict(data: dict) -> GenConfig:
     """GenConfig from a JSON object; see :func:`model.check_types` for the type rules."""
-    data = dict(data)
+    data = {**data}   # dict() would also take a list of key-value pairs
     if "system" in data:
         data["system"] = from_dict(SystemParams, data["system"])
     return from_dict(GenConfig, data)

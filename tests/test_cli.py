@@ -15,8 +15,8 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from wpcn_sched import (GenConfig, SystemParams, UserProfile, instance_from_dict,
-                        instance_to_dict, mrsa, sample, validate)
+from wpcn_sched import (GenConfig, StmSolution, SystemParams, UserProfile, instance_from_dict,
+                        instance_to_dict, mrsa, sample, stm, validate)
 from wpcn_sched import cli as cli_module
 from wpcn_sched.cli import (
     AXES,
@@ -78,6 +78,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             spec_from_dict(base_spec_dict(axis="n_users", values=[4, 12]))
 
+    def test_rejected_value_raises_at_construction(self):
+        # Built in code, not only through spec_from_dict: every point's
+        # config is made when the spec is.
+        with pytest.raises(ValueError, match="p_h, p_max and bandwidth must be positive"):
+            SweepSpec(axis="hap_power", values=(-1.0,), gen=GenConfig(n_users=3, seed=1))
+
     def test_fractional_user_counts(self):
         with pytest.raises(ConfigError):
             spec_from_dict(base_spec_dict(axis="n_users", values=[2.5]))
@@ -109,13 +115,17 @@ class TestSpecValidation:
          f"n_users must be at most {MAX_USERS}, got {int(1e300)}"),
         (base_spec_dict(gen=base_gen_dict(n_users=MAX_USERS + 1)),
          f"n_users must be at most {MAX_USERS}, got {MAX_USERS + 1}"),
+        # dict() would read the pairs as the object {"n_users": 2, "seed": 1}.
+        (base_spec_dict(gen=[["n_users", 2], ["seed", 1]]),
+         "error: bad sweep spec: 'list' object is not a mapping"),
     ], ids=["negative-hap-power", "values-not-a-list", "seed-not-an-integer",
             "seed-is-a-bool", "seed-negative", "oracle-a-string", "oracle-a-number",
             "trials-fractional", "trials-a-float", "trials-a-string", "trials-a-bool",
             "gen-n-users-fractional", "gen-fading-a-string", "system-p-h-a-bool",
             "n-users-axis-infinity", "n-users-axis-minus-infinity",
             "values-past-the-largest-double", "n-users-axis-past-the-largest-double",
-            "n-users-axis-above-the-bound", "gen-n-users-above-the-bound"])
+            "n-users-axis-above-the-bound", "gen-n-users-above-the-bound",
+            "gen-an-array-of-pairs"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, spec, message):
         spec_path = write_json(tmp_path / "spec.json", spec)
         out = tmp_path / "out.csv"
@@ -130,6 +140,14 @@ class TestSpecValidation:
         out = tmp_path / "out.csv"
         assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
         assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trials_flag_still_checks_the_specs_trials(self, tmp_path, capsys):
+        spec_path = write_json(tmp_path / "spec.json", base_spec_dict(trials="x"))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out), "--trials", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad sweep spec: trials must be an integer, got 'x'\n")
         assert not out.exists()
 
     def test_default_grid_when_values_omitted(self):
@@ -246,6 +264,23 @@ class TestGen:
         out = tmp_path / "instance.json"
         assert main(["gen", "--config", config_path, "--out", str(out), "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: bad generator config: ")
+        assert not out.exists()
+
+    def test_config_as_an_array_of_pairs_exits_2(self, tmp_path, capsys):
+        # dict() would read the pairs as the object {"n_users": 2, "seed": 1}.
+        config_path = write_json(tmp_path / "gen.json", [["n_users", 2], ["seed", 1]])
+        out = tmp_path / "instance.json"
+        assert main(["gen", "--config", config_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad generator config: 'list' object is not a mapping\n")
+        assert not out.exists()
+
+    def test_seed_flag_still_checks_the_configs_seed(self, tmp_path, capsys):
+        config_path = write_json(tmp_path / "gen.json", {"n_users": 2, "seed": "x"})
+        out = tmp_path / "instance.json"
+        assert main(["gen", "--config", config_path, "--out", str(out), "--seed", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad generator config: seed must be an integer, got 'x'\n")
         assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
@@ -698,6 +733,18 @@ class TestInfeasibleCounting:
         assert rows[0]["trials"] == 4
         assert sum(1 for r in raw if r["infeasible"]) == 2
         assert rows[0]["mlsa_length_mean"] is not None
+
+
+class TestInternalBug:
+    def test_unaffordable_schedule_is_a_runtime_error(self, monkeypatch):
+        # Every schedule is replayed; one the solver should never emit is a
+        # bug, not a configuration error or an infeasible instance.
+        config = GenConfig(n_users=2, seed=1)   # empty batteries
+        unaffordable = StmSolution(tau0=0.0, pairs=((1, 1.0),), throughput=1.0)
+        monkeypatch.setattr(stm, "mrsa", lambda instance: unaffordable)
+        assert not validate(sample(config), unaffordable.schedule).ok
+        with pytest.raises(RuntimeError, match="solver emitted an infeasible schedule"):
+            cli_module.run_trial(config, ("stm",), False)
 
 
 class TestOutputTarget:

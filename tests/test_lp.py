@@ -204,6 +204,15 @@ class TestHandCases:
         with pytest.raises(NumericalBreakdown, match="column 2"):
             solve(problem)
 
+    def test_iteration_limit_surfaces_breakdown(self, monkeypatch):
+        # Two unit boxes take two pivots; a limit of one must not pass off
+        # the half-way vertex as optimal.
+        problem = lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+        assert solve(problem).pivots == 2
+        monkeypatch.setattr(lp_module, "_MAX_ITERATIONS", 1)
+        with pytest.raises(NumericalBreakdown, match="iteration limit reached"):
+            solve(problem)
+
     def test_tiny_pivot_that_binds_first_is_refused(self):
         # The first row forces x0 = 0 (exact optimum 0), but its 2e-14 entry
         # is below PIVOT_TOL, so x0 would enter on the box row to x = (3, 0),

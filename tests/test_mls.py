@@ -10,6 +10,7 @@ from wpcn_sched import (
     TooLarge,
     brute_force_mls,
     fixed_order_mls,
+    harvest_rate,
     mlsa,
     pdo,
     s_min,
@@ -204,19 +205,20 @@ class TestRoundOff:
 
     def test_replay_is_the_balance_validate_checks(self, monkeypatch):
         # fixed_order_mls replays with the harvest rates it computed once;
-        # every balance must be model.energy_balance's, bit for bit, or the
-        # frame could start too early for validate.
+        # every balance must be the one validate computes from harvest_rate,
+        # bit for bit, or the frame could start too early for validate.
         replayed = []
 
         def recording(params, user, c, slot):
-            balance = model._energy_balance(params, user, c, slot)
+            balance = model.energy_balance(params, user, c, slot)
             replayed.append((user, slot, balance))
             return balance
 
-        monkeypatch.setattr(mls, "_energy_balance", recording)
+        monkeypatch.setattr(mls, "energy_balance", recording)
         mlsa(self.instance)
         params = self.instance.params
         assert len(replayed) == 2 * self.instance.n_users   # the deficit, then none
         assert any(balance < -ENERGY_TOL for _, _, balance in replayed)
         for user, slot, balance in replayed:
-            assert balance.hex() == energy_balance(params, user, slot).hex()
+            assert balance.hex() == energy_balance(
+                params, user, harvest_rate(params, user), slot).hex()

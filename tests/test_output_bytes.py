@@ -12,10 +12,14 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import wpcn_sched
 from wpcn_sched import lp, model, netgen, stm
 from wpcn_sched.cli import main
 
@@ -163,3 +167,15 @@ def test_output_matches_pinned_bytes(outputs, name):
 
 def test_every_pinned_file_is_checked(outputs):
     assert sorted(outputs) == sorted(p.name for p in BYTES.iterdir())
+
+
+def test_module_entry_point_writes_the_pinned_instance(tmp_path):
+    # ``python -m wpcn_sched`` runs the same main as the installed command.
+    config, out = tmp_path / "gen.json", tmp_path / "instance.json"
+    config.write_text(json.dumps(GEN))
+    src = str(pathlib.Path(wpcn_sched.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "wpcn_sched", "gen", "--config", str(config),
+                    "--out", str(out)], env=env, check=True)
+    assert out.read_bytes() == (BYTES / "gen_instance.json").read_bytes()
