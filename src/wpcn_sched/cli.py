@@ -22,7 +22,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lp, mls, netgen, stm
 from .model import (
@@ -74,7 +74,8 @@ class SweepSpec:
     """One sweep: an axis, the grid, and the shared generator settings.
 
     ``values=None`` is the axis's default grid. Construction builds every
-    point's generator config: a value the model rejects raises here.
+    point's generator config into ``points``, in ``values`` order: a value
+    the model rejects raises here, and the sweep runs exactly these configs.
     """
 
     axis: str
@@ -83,6 +84,7 @@ class SweepSpec:
     trials: int = 100
     problems: tuple[str, ...] = PROBLEMS
     oracle: bool = False
+    points: tuple[GenConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
@@ -101,13 +103,11 @@ class SweepSpec:
         if self.axis == "n_users":
             if any(not float(v).is_integer() or v < 1 for v in self.values):
                 raise ConfigError("n_users axis values must be positive integers")
-        n_max = max(self.config_at(value).n_users for value in self.values)
+        at = _AXES[self.axis][1]
+        object.__setattr__(self, "points", tuple(at(self.gen, value) for value in self.values))
+        n_max = max(config.n_users for config in self.points)
         if self.oracle and n_max > BRUTE_FORCE_LIMIT:
             raise ConfigError(f"oracle requested with {n_max} users; limit is {BRUTE_FORCE_LIMIT}")
-
-    def config_at(self, value: float) -> GenConfig:
-        """The generator config at one axis value."""
-        return _AXES[self.axis][1](self.gen, value)
 
 
 def spec_from_dict(data: dict, trials_override: int | None = None) -> SweepSpec:
@@ -182,8 +182,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     """
     rows = []
     raw = []
-    for value in spec.values:
-        config = spec.config_at(value)
+    for value, config in zip(spec.values, spec.points):
         trials: list[dict] = []
         for t in range(spec.trials):
             trial_config = dataclasses.replace(config, seed=derive_seed(spec.gen.seed, t))
@@ -400,7 +399,3 @@ def main(argv: list[str] | None = None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

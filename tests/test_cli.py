@@ -212,6 +212,50 @@ class TestRunSweep:
         assert "mrsa_throughput" not in raw[0]
 
 
+class TestSweepPoints:
+    """Each point's generator config is built once, with the spec."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The GenConfigs constructed from here on."""
+        configs = []
+        post_init = GenConfig.__post_init__
+
+        def counted(config):
+            post_init(config)
+            configs.append(config)
+        monkeypatch.setattr(GenConfig, "__post_init__", counted)
+        return configs
+
+    def test_main_builds_the_spec_points_and_trials(self, tmp_path, built):
+        spec_path = write_json(tmp_path / "spec.json", base_spec_dict(trials=3, oracle=False))
+        assert main(["sweep", "--spec", spec_path, "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(built) == 1 + 2 + 2 * 3   # the spec's gen, its points, one per trial
+
+    def test_run_sweep_builds_only_the_trial_configs(self, built):
+        spec = SweepSpec(axis="n_users", values=(2, 3), trials=3, problems=("stm",),
+                         gen=GenConfig(n_users=1, seed=7, min_distance=1.0))
+        built.clear()
+        _, raw = run_sweep(spec)
+        assert len(built) == 2 * 3
+        assert [(c.n_users, c.seed) for c in built] == [(r["axis_value"], r["seed"]) for r in raw]
+
+    @pytest.mark.parametrize("axis, values, at", [
+        ("hap_power", (0.5, 2.0), lambda gen, v: dataclasses.replace(
+            gen, system=dataclasses.replace(gen.system, p_h=v))),
+        ("user_power", (0.05, 1.0), lambda gen, v: dataclasses.replace(
+            gen, system=dataclasses.replace(gen.system, p_max=v))),
+        ("n_users", (2, 5), lambda gen, v: dataclasses.replace(gen, n_users=v)),
+    ], ids=["hap_power", "user_power", "n_users"])
+    def test_points_set_the_axis_field(self, axis, values, at):
+        gen = GenConfig(n_users=3, seed=4)
+        spec = SweepSpec(axis=axis, values=values, gen=gen)
+        assert spec.points == tuple(at(gen, value) for value in values)
+        twin = SweepSpec(axis=axis, values=list(values), gen=gen)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert "points" not in repr(spec)
+
+
 class TestCsv:
     def test_header_is_pinned(self):
         assert CSV_COLUMNS == (
