@@ -3,15 +3,17 @@ where b >= 0 (the frame length and the batteries, in the throughput LPs).
 
 A square problem may ask ``solve`` to try its all-tight start first
 (``LpProblem.tight_start``): every structural column basic, so every row is
-tight. One stacked LAPACK solve of A x = b and A^T y = c gives that vertex
-and its duals, and the vertex is returned when it is nonnegative and no
-slack's reduced cost -y exceeds FEASIBILITY_TOL, the simplex's own
-optimality test. The STM solver's throughput LPs almost always pass (the
-frame is full and every user spends all it has), where the simplex would
-take one pivot per row. When only some duals are negative, each such row's
-column leaves the basis for the row's slack (in a throughput LP, those
-users get no time) and the result is certified once more. Any other failure
-falls back to the simplex below, so the result never depends on the guess.
+tight. One LAPACK solve of A x = b gives that vertex, and A^T y = c its
+duals: by a second LAPACK solve, or, for the throughput LP's staircase
+layout (``LpProblem.staircase``), by an O(m) back substitution. The vertex
+is returned when it is nonnegative and no slack's reduced cost -y exceeds
+FEASIBILITY_TOL, the simplex's own optimality test. The STM solver's
+throughput LPs almost always pass (the frame is full and every user spends
+all it has), where the simplex would take one pivot per row. When only
+some duals are negative, each such row's column leaves the basis for the
+row's slack (in a throughput LP, those users get no time) and the result is
+certified once more. Any other failure falls back to the simplex below, so
+the result never depends on the guess.
 
 The simplex is a one-phase tableau method with Bland's anti-cycling rule
 (Bland, Math. Oper. Res. 1977): b >= 0 makes the slack basis a feasible
@@ -24,7 +26,9 @@ costs nothing) and which each pivot updates like every other row."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +58,10 @@ class LpProblem:
     ``tight_start`` (square ``constraint_matrix`` only) guesses that every
     variable is basic and every row tight at the optimum. ``solve`` tries
     that vertex, or its repair, before pivoting; the flag never changes
-    which problem is solved.
+    which problem is solved. A problem built by :meth:`staircase` also
+    carries its layout, so ``solve`` takes the start's duals by back
+    substitution; the mark is not a field of the constructor, the repr or
+    equality, and ``dataclasses.replace`` drops it.
 
     The fields hold float arrays, the caller's own where they already are.
     Construction raises ValueError, in this order, on wrong dimensions, on
@@ -67,6 +74,29 @@ class LpProblem:
     constraint_matrix: np.ndarray
     rhs: np.ndarray
     tight_start: bool = False
+    # (lower, p_max) of a staircase, set once by :meth:`staircase`
+    _staircase: tuple[np.ndarray, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def staircase(cls, objective: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
+                  p_max: float) -> LpProblem:
+        """The square ``tight_start`` LP whose row 0 is all ones and whose row
+        k >= 1 holds lower[k] on and left of the diagonal, with p_max added
+        on the diagonal: the throughput LP of a fixed transmission order,
+        where lower[k] is minus the harvest rate of slot k's user
+        (``lower[0]`` is not used). ``lower`` is a float array.
+
+        Raises:
+            ValueError: as the constructor.
+        """
+        size = lower.size
+        a = np.where(_lower_triangle(size), lower[:, None], 0.0)
+        a[0] = 1.0
+        a.ravel()[size + 1::size + 1] += p_max   # diagonal below row 0
+        problem = cls(objective, a, rhs, tight_start=True)
+        object.__setattr__(problem, "_staircase", (lower, p_max))
+        return problem
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=float)
@@ -171,6 +201,47 @@ def _hidden(reduced: np.ndarray, a: np.ndarray) -> np.ndarray:
     return reduced > FEASIBILITY_TOL * np.abs(a).max(axis=0, initial=0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _lower_triangle(size: int) -> np.ndarray:
+    """Read-only mask of the entries on or below the diagonal."""
+    mask = np.tri(size, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _staircase_duals(c: list[float], lower: list[float], p_max: float,
+                     kept: range | list[int], frame: bool) -> list[float] | None:
+    """y with B^T y = c_B for the basis B of a staircase LP (see
+    :meth:`LpProblem.staircase`) that keeps the LP's columns ``kept`` (in
+    descending order, each >= 1) and column 0 if ``frame``, and has row j's
+    slack as every other column j, so y_j = 0 there (c_j is not read);
+    ``None`` on a zero pivot, d_j below or u at column 0.
+
+    Let S_j = y_0 + sum over kept k > j of lower[k] y_k. Column j >= 1 reads
+    S_j + d_j y_j = c_j, where d_j = p_max + lower[j] is the diagonal entry,
+    and column 0 reads S_0 = c_0. From the last column back, S_j = sigma +
+    u y_0 is affine in y_0, and so is each y_j = alpha_j - beta_j y_0;
+    column 0 then fixes y_0.
+    """
+    alphas = [0.0] * len(c)
+    betas = [0.0] * len(c)
+    sigma, u = 0.0, 1.0
+    try:
+        for j in kept:
+            e = lower[j]
+            pivot = p_max + e
+            alphas[j] = alpha = (c[j] - sigma) / pivot
+            betas[j] = beta = u / pivot
+            sigma += e * alpha
+            u -= e * beta
+        y0 = (c[0] - sigma) / u if frame else 0.0
+    except ZeroDivisionError:
+        return None
+    y = [alpha - beta * y0 for alpha, beta in zip(alphas, betas)]
+    y[0] = y0
+    return y
+
+
 def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     """The vertex of the all-tight start or of its repair, with the path that
     passed the simplex's own optimality test ("certified" or "repaired"),
@@ -178,52 +249,60 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
 
     Every variable is basic at the start, so its only nonbasic reduced
     costs are the slacks' -y: it passes when every entry of x = A^-1 b and
-    y = A^-T c is finite (one count of ``np.isfinite``, so no NaN reaches a
-    comparison), min(x) >= 0 and min(y) >= -FEASIBILITY_TOL (both minima
-    from one ``np.minimum.reduce``). When only duals fail, each row with a
-    negative one trades its column for its slack (basis column e_i, cost 0)
-    and the test runs once more, now also on the dropped columns' reduced
-    costs c_j - y.A_j, held to FEASIBILITY_TOL and to the simplex's exit
-    rule (:func:`_hidden`). The basic columns' reduced costs are zero in
-    exact arithmetic; their round-off residue grows with the data's scale,
-    so they are not tested.
+    y = A^-T c is finite (``math.isfinite``, so no NaN reaches a
+    comparison), min(x) >= 0 and min(y) >= -FEASIBILITY_TOL. x comes from
+    one LAPACK solve. A staircase (:meth:`LpProblem.staircase`) takes y by
+    :func:`_staircase_duals`, an O(m) back substitution in Python floats,
+    and only on a zero pivot by a LAPACK solve of A^T y = c; any other
+    problem always by that solve, so its results are those of two separate
+    dense solves. When only duals fail, each row with a negative one trades
+    its column for its slack (basis column e_i, cost 0) and the test runs
+    once more, now also on the dropped columns' reduced costs c_j - y.A_j,
+    held to FEASIBILITY_TOL and to the simplex's exit rule (:func:`_hidden`).
+    The basic columns' reduced costs are zero in exact arithmetic; their
+    round-off residue grows with the data's scale, so they are not tested.
     """
     a = problem.constraint_matrix
     c = problem.objective
     m = c.size
-    # A x = b and A^T y = c as one stacked solve
-    lhs = np.empty((2, m, m))
-    lhs[0] = a
-    lhs[1] = a.T
-    rhs = np.empty((2, m, 1))
-    rhs[0, :, 0] = problem.rhs
-    rhs[1, :, 0] = c
+    staircase = problem._staircase
+    if staircase is not None:
+        lower, p_max = staircase
+        c_values, lower_values = c.tolist(), lower.tolist()
+    basis = a
+    kept, frame = range(m - 1, 0, -1), True   # the staircase's basic columns
     for path in ("certified", "repaired"):
+        # The checks run on Python floats, which cost less than numpy's
+        # reductions at 7 rows.
         try:
-            solution = np.linalg.solve(lhs, rhs)[:, :, 0]   # [x, y]
+            x = np.linalg.solve(basis, problem.rhs)
+            x_values = x.tolist()
+            if not all(map(math.isfinite, x_values)) or min(x_values, default=0.0) < 0.0:
+                return None
+            y = None
+            if staircase is not None:
+                y = _staircase_duals(c_values, lower_values, p_max, kept, frame)
+            if y is None:   # a slack's cost is 0
+                costs = c if path == "certified" else np.where(dropped, 0.0, c)
+                y = np.linalg.solve(basis.T, costs).tolist()
         except np.linalg.LinAlgError:
             return None
-        # count_nonzero and the ufunc's reduce skip the Python wrappers of
-        # .all() and .min(); the initial 0s cover m = 0
-        if np.count_nonzero(np.isfinite(solution)) != 2 * m:
+        if not all(map(math.isfinite, y)):
             return None
-        x_low, lowest = np.minimum.reduce(solution, axis=1, initial=0.0).tolist()
-        if x_low < 0.0:
-            return None
-        x = solution[0]
         if path == "repaired":
-            reduced = c - solution[1] @ a
+            reduced = c - np.array(y) @ a
             reduced[~dropped] = 0.0
             if not reduced.max() <= FEASIBILITY_TOL or _hidden(reduced, a).any():
                 return None
             x[dropped] = 0.0   # their slacks are basic in those rows
-        if lowest >= -FEASIBILITY_TOL:
+        if min(y, default=0.0) >= -FEASIBILITY_TOL:
             return x, path
-        dropped = solution[1] < -FEASIBILITY_TOL
-        lhs[0, :, dropped] = 0.0
-        lhs[1, dropped] = 0.0
-        lhs[:, dropped, dropped] = 1.0
-        rhs[1, dropped] = 0.0
+        flags = [dual < -FEASIBILITY_TOL for dual in y]
+        dropped = np.array(flags)
+        basis = a.copy()
+        basis[:, dropped] = 0.0
+        basis[dropped, dropped] = 1.0
+        kept, frame = [j for j in kept if not flags[j]], not flags[0]
     return None
 
 

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import lp
-from .model import (BRUTE_FORCE_LIMIT, NetworkInstance, Schedule, best_order, check_order,
-                    harvest_rate, layout, rate)
+from .model import (BRUTE_FORCE_LIMIT, ENERGY_TOL, NetworkInstance, Schedule, best_order,
+                    check_order, energy_balance, harvest_rate, layout, rate)
 
 FRAME_LENGTH = 1.0  # normalized frame; throughput scales linearly with it
 
@@ -37,7 +37,8 @@ class StmSolution:
 
     ``tau0`` is the leading unallocated time and ``pairs`` the (user,
     duration) of each slot with positive time, in slot order. The schedule
-    is laid out from them on first read and kept.
+    is laid out from them on first read and kept (:func:`mrsa` hands over
+    the one it replayed).
     """
 
     tau0: float
@@ -67,7 +68,10 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
     counting the energy it will have harvested by the end of that time, and
     is placed at the back of the remaining frame so that higher-rate users
     transmit later. Users whose rate is zero get no airtime. Whatever time
-    is left over becomes the leading unallocated interval.
+    is left over becomes the leading unallocated interval. A slot whose
+    :func:`model.energy_balance` replays below -ENERGY_TOL (an ulp at large
+    energies) is shortened and its time given to that interval, which
+    lowers no other balance; the laid-out schedule is kept.
     """
     params = instance.params
     rates = [rate(params, u) for u in instance.users]
@@ -76,20 +80,38 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
 
     remaining = FRAME_LENGTH
     granted: list[tuple[int, float]] = []  # rate-descending order
+    harvests = {}
     for i in order:
         if rates[i - 1] == 0.0:
             break  # rate-descending order: nobody left can carry a bit
         user = instance.users[i - 1]
-        energy = user.initial_energy + harvest_rate(params, user) * remaining
+        harvests[i] = c = harvest_rate(params, user)
+        energy = user.initial_energy + c * remaining
         tau = min(energy / params.p_max, remaining)
         granted.append((i, tau))
         remaining -= tau
         if remaining == 0.0:
             break
 
-    pairs = tuple((i, tau) for i, tau in reversed(granted) if tau > 0.0)
+    while True:
+        pairs = tuple((i, tau) for i, tau in reversed(granted) if tau > 0.0)
+        schedule = layout(remaining, pairs)
+        # validate's energy_balance arithmetic: the cut that each deficit needs
+        cuts = {slot.user: -balance / params.p_max for slot in schedule.slots
+                if (balance := energy_balance(params, instance.users[slot.user - 1],
+                                              harvests[slot.user], slot)) < -ENERGY_TOL}
+        if not cuts:
+            break
+        for k, (i, tau) in enumerate(granted):
+            if i in cuts:
+                shorter = max(0.0, math.nextafter(tau - cuts[i], 0.0))
+                granted[k] = (i, shorter)
+                remaining += tau - shorter
+
     throughput = sum((tau * rates[i - 1] for i, tau in granted), 0.0)
-    return StmSolution(remaining, pairs, throughput)
+    solution = StmSolution(remaining, pairs, throughput)
+    object.__setattr__(solution, "schedule", schedule)   # the property's own value
+    return solution
 
 
 def lp_coefficients(instance: NetworkInstance) -> np.ndarray:
@@ -114,14 +136,6 @@ def lp_coefficients(instance: NetworkInstance) -> np.ndarray:
     return coefficients
 
 
-@functools.lru_cache(maxsize=64)
-def _lower_triangle(size: int) -> np.ndarray:
-    """Read-only mask of the entries on or below the diagonal."""
-    mask = np.tri(size, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def throughput_lp(instance: NetworkInstance, order: Sequence[int],
                   coefficients: np.ndarray | None = None) -> lp.LpProblem:
     """Time-allocation LP for a fixed transmission order.
@@ -130,10 +144,14 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int],
     rate-weighted transmission times, the rates scaled as in
     :func:`lp_coefficients`, subject to the frame budget and, per
     user, spending no more than battery plus what is harvested by the end
-    of its own slot. The tight start guesses the usual optimum: every
-    variable basic, so the frame is full and every user spends all it has.
-    ``coefficients`` is ``lp_coefficients(instance)``, computed here when
-    not given.
+    of its own slot. Row 0 is the frame budget tau0 + sum tau_i <= frame;
+    row k >= 1 spends p_max in its own slot and earns what is harvested
+    during tau0 and every slot up to its own: the staircase that
+    :meth:`lp.LpProblem.staircase` lays out, whose start's duals ``lp``
+    takes by back substitution. The tight start guesses the usual optimum:
+    every variable basic, so the frame is full and every user spends all it
+    has. ``coefficients`` is ``lp_coefficients(instance)``, computed here
+    when not given.
 
     Raises:
         ValueError: ``order`` is not a permutation of the users.
@@ -142,15 +160,7 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int],
     if coefficients is None:
         coefficients = lp_coefficients(instance)
     columns = coefficients.take([0, *order], axis=1)
-    size = columns.shape[1]
-
-    # Row k >= 1 spends p_max in its own slot and earns what is harvested
-    # during tau0 and every slot up to its own; row 0 is the frame budget
-    # tau0 + sum tau_i <= frame.
-    a = np.where(_lower_triangle(size), columns[2, :, None], 0.0)
-    a[0] = 1.0
-    a.ravel()[size + 1::size + 1] += instance.params.p_max   # diagonal below row 0
-    return lp.LpProblem(columns[0], a, columns[1], tight_start=True)
+    return lp.LpProblem.staircase(columns[0], columns[1], columns[2], instance.params.p_max)
 
 
 def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],

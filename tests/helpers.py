@@ -221,8 +221,9 @@ def exact_vertex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> Fraction:
 
 def two_solve_certificate(problem) -> tuple[np.ndarray, str] | None:
     """``lp._certified_start`` for a tight start, as two separate dense solves
-    with one reduction per test: the reference its stacked form must match
-    bit for bit, rejections included. A dropped column's reduced cost must
+    with one reduction per test: the reference that its result on a square
+    problem without the staircase mark must match bit for bit, rejections
+    included. A dropped column's reduced cost must
     be at most FEASIBILITY_TOL times min(1, the column's largest entry)."""
     a = problem.constraint_matrix
     c = problem.objective

@@ -683,6 +683,20 @@ class TestLargeValues:
         assert main(["solve", "--instance", path, "--problem", "mls", "--alg", alg]) == 3
         assert "would end past the largest double" in capsys.readouterr().err
 
+    def test_mrsa_replays_at_large_energies(self, tmp_path, capsys):
+        # User 2's balance was an ulp of 6e4 J short, below ENERGY_TOL, and
+        # the solve ended in a RuntimeError traceback.
+        payload = {"params": {"p_h": 100.0, "p_max": 100000.0},
+                   "users": [{"uplink_gain": 1.0, "downlink_gain": 1.0,
+                              "initial_energy": 100.0},
+                             {"uplink_gain": 1.0, "downlink_gain": 0.001,
+                              "initial_energy": 60000.0}]}
+        path = write_json(tmp_path / "instance.json", payload)
+        assert main(["solve", "--instance", path, "--problem", "stm", "--alg", "mrsa"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["feasibility"]["ok"]
+        assert result["scheduled_users"] == [1, 2]
+
     @pytest.mark.parametrize("demand", [1e7, 1e8, 1e12])
     def test_large_demands_replay(self, tmp_path, demand):
         # An ulp of a length-1e9 s frame's energy balance or of a 1e8-bit

@@ -379,7 +379,7 @@ class TestCertifiedStart:
         with pytest.raises(NumericalBreakdown, match="column 0"):
             solve(problem)
 
-    def test_stacked_certificate_matches_the_two_solve_reference(self):
+    def test_square_certificate_matches_the_two_solve_reference(self):
         # Random square tight starts whose vertex is often nonnegative, with
         # some entries scaled by 1e±160 so that vertices and duals also
         # overflow to infinity or NaN: every outcome, rejections included,
@@ -404,14 +404,14 @@ class TestCertifiedStart:
                 if not np.isfinite(b).all():
                     continue
                 problem = lp(c, a, b, tight_start=True)
-                stacked = lp_module._certified_start(problem)
+                certified = lp_module._certified_start(problem)
                 reference = two_solve_certificate(problem)
             if reference is None:
-                assert stacked is None
+                assert certified is None
             else:
-                assert stacked is not None and stacked[1] == reference[1]
-                assert stacked[0].tobytes() == reference[0].tobytes()
-            outcomes.add(None if stacked is None else stacked[1])
+                assert certified is not None and certified[1] == reference[1]
+                assert certified[0].tobytes() == reference[0].tobytes()
+            outcomes.add(None if certified is None else certified[1])
         assert outcomes == {None, "certified", "repaired"}
 
     def test_nan_duals_are_rejected(self):
@@ -483,3 +483,63 @@ class TestCertifiedStart:
         assert solution.x[0] == 0.0
         oracle = exact_vertex_max(problem.objective, problem.constraint_matrix, problem.rhs)
         assert solution.objective_value == pytest.approx(float(oracle), rel=1e-12)
+
+
+class TestStaircase:
+    """``LpProblem.staircase``: the throughput LP's layout, whose start's
+    duals ``solve`` takes by back substitution."""
+
+    def test_layout_and_mark(self):
+        problem = LpProblem.staircase(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]),
+                                      np.array([7.0, -0.125, -0.25]), 0.5)
+        assert problem.constraint_matrix.tolist() == [[1.0, 1.0, 1.0],
+                                                      [-0.125, 0.375, 0.0],
+                                                      [-0.25, -0.25, 0.25]]
+        plain = lp([0.0, 1.0, 2.0], problem.constraint_matrix, [1.0, 0.5, 0.25],
+                   tight_start=True)
+        # The mark is not part of the constructor, the repr or equality, and
+        # replace drops it.
+        mark, = (f for f in dataclasses.fields(LpProblem) if f.name == "_staircase")
+        assert not (mark.init or mark.repr or mark.compare)
+        assert repr(problem) == repr(plain)
+        assert problem._staircase is not None
+        assert plain._staircase is None
+        assert dataclasses.replace(problem)._staircase is None
+
+    @staticmethod
+    def duals(problem, kept=None, frame=True):
+        lower, p_max = problem._staircase
+        m = problem.objective.size
+        return lp_module._staircase_duals(problem.objective.tolist(), lower.tolist(), p_max,
+                                          range(m - 1, 0, -1) if kept is None else kept, frame)
+
+    def test_zero_pivot_takes_the_lapack_fallback(self):
+        # A harvest rate of p_max leaves row 1 as -0.5 x0 <= 0, with a zero
+        # on the diagonal: the back substitution divides by it, so the duals
+        # come from a LAPACK solve of A^T y = c, which pivots past it. The
+        # start (0, 0.6, 0.4) with duals (1.2, 2, 2) is optimal.
+        problem = LpProblem.staircase(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.1]),
+                                      np.array([0.0, -0.5, -0.1]), 0.5)
+        assert problem.constraint_matrix[1, 1] == 0.0
+        assert self.duals(problem) is None
+        assert np.linalg.solve(problem.constraint_matrix.T, problem.objective) == (
+            pytest.approx([1.2, 2.0, 2.0], rel=1e-14))
+        staircase, plain = solve(problem), solve(dataclasses.replace(problem))
+        assert (staircase.path, staircase.pivots) == (plain.path, plain.pivots) == ("certified", 0)
+        assert staircase.x.tobytes() == plain.x.tobytes()
+        assert staircase.x.tolist() == pytest.approx([0.0, 0.6, 0.4], abs=1e-15)
+
+    def test_dropped_frame_column_has_a_zero_dual(self):
+        # A cost of -1 on x0: the start (0.4, 0.6) has duals (-0.8, 2), so
+        # row 0's slack replaces x0. Its dual is then 0 and y_1 = 1 / 0.9;
+        # x0 prices out at -1 + 0.1 / 0.9.
+        problem = LpProblem.staircase(np.array([-1.0, 1.0]), np.array([1.0, 0.5]),
+                                      np.array([0.0, -0.1]), 1.0)
+        assert self.duals(problem) == pytest.approx([-0.8, 2.0], rel=1e-15)
+        assert self.duals(problem, kept=[1], frame=False) == [0.0, 1.0 / 0.9]
+        staircase, plain = solve(problem), solve(dataclasses.replace(problem))
+        assert (staircase.path, staircase.pivots) == (plain.path, plain.pivots) == ("repaired", 0)
+        assert staircase.x.tobytes() == plain.x.tobytes()
+        assert staircase.x.tolist() == [0.0, 0.5 / 0.9]
+        oracle = exact_vertex_max(problem.objective, problem.constraint_matrix, problem.rhs)
+        assert staircase.objective_value == pytest.approx(float(oracle), rel=1e-15)

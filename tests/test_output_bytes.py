@@ -3,7 +3,8 @@
 The files under ``data/bytes`` are the exact outputs of ``gen``, ``solve``
 and ``sweep`` on the inputs below, plus the ``repr`` of fixed-order
 throughput allocations (large ones, and small battery-rich ones whose LPs
-take the simplex) and of the exact throughput oracle's winners. Refactors
+take the simplex) and of the exact throughput oracle's winners, and the
+path every order's LP takes in that oracle. Refactors
 must reproduce them byte for byte; only a change meant to alter the outputs
 may rewrite them, and its change log then says why. They were written on CPython 3.11 with numpy 2.4.
 """
@@ -117,6 +118,30 @@ def oracle_lines() -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def lp_path_lines() -> str:
+    """Config, the count of each ``LpSolution.path`` and every order whose LP
+    does not certify, with its path and pivots, over all orders of each
+    instance of ``ORACLE`` with 6 or 7 users: a change to the certificate
+    shows here even on orders that never win."""
+    lines = []
+    for gen in ORACLE:
+        if gen["n_users"] < 6:
+            continue
+        instance = netgen.sample(netgen.config_from_dict(gen))
+        coefficients = stm.lp_coefficients(instance)
+        counts = dict.fromkeys(("certified", "repaired", "pivoted"), 0)
+        uncertified = []
+        for order in itertools.permutations(range(1, instance.n_users + 1)):
+            result = lp.solve(stm.throughput_lp(instance, order, coefficients))
+            counts[result.path] += 1
+            if result.path != "certified":
+                uncertified.append(f"order {order} path {result.path} pivots {result.pivots}")
+        lines.append(json.dumps(gen, sort_keys=True))
+        lines.append(" ".join(f"{path} {count}" for path, count in counts.items()))
+        lines.extend(uncertified)
+    return "".join(line + "\n" for line in lines)
+
+
 def produce(workdir: pathlib.Path) -> dict[str, bytes]:
     """Every pinned output, by file name under ``data/bytes``."""
     outputs = {}
@@ -147,6 +172,7 @@ def produce(workdir: pathlib.Path) -> dict[str, bytes]:
     outputs["fixed_order_large.txt"] = fixed_order_lines().encode()
     outputs["fixed_order_pivoted.txt"] = pivoted_lines().encode()
     outputs["oracle_stm.txt"] = oracle_lines().encode()
+    outputs["oracle_lp_paths.txt"] = lp_path_lines().encode()
     return outputs
 
 
@@ -159,7 +185,7 @@ def outputs(tmp_path_factory):
     *GENS, "solve_gen_instance.txt",
     "sweep_hap_power.csv", "sweep_hap_power.jsonl",
     "sweep_n_users.csv", "sweep_n_users.jsonl", "fixed_order_large.txt",
-    "fixed_order_pivoted.txt", "oracle_stm.txt",
+    "fixed_order_pivoted.txt", "oracle_stm.txt", "oracle_lp_paths.txt",
 ])
 def test_output_matches_pinned_bytes(outputs, name):
     assert outputs[name] == (BYTES / name).read_bytes()

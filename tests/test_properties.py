@@ -25,6 +25,7 @@ from wpcn_sched import (
     sample,
     validate,
 )
+from wpcn_sched import lp as lp_module
 from wpcn_sched.lp import PIVOT_TOL, LpProblem, LpStatus, NumericalBreakdown, solve
 from wpcn_sched.stm import FRAME_LENGTH, fixed_order_stm, lp_coefficients, throughput_lp
 
@@ -192,6 +193,50 @@ def test_certified_start_matches_the_cold_solve(data):
         oracle = float(exact_vertex_max(problem.objective, problem.constraint_matrix,
                                         problem.rhs))
         assert abs(warm.objective_value - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+
+# Batteries of the throughput LPs: empty (GenConfig's default), the
+# benchmark's, and rich enough that one battery can fill the frame.
+BATTERY_REGIMES = {
+    "empty": {},
+    "benchmark": {"battery_max": 0.001, "min_distance": 1.0},
+    "battery-rich": {"system": SystemParams(p_h=1.0, p_max=0.01), "battery_max": 0.01},
+}
+
+
+@st.composite
+def throughput_lps(draw):
+    regime = draw(st.sampled_from(sorted(BATTERY_REGIMES)))
+    config = {"system": SystemParams(p_h=draw(st.sampled_from([0.5, 2.0, 8.0])), p_max=0.1),
+              **BATTERY_REGIMES[regime]}
+    instance = sample(GenConfig(n_users=draw(st.integers(1, 30)),
+                                seed=draw(st.integers(0, 2**63)), **config))
+    return regime, throughput_lp(instance, draw(st.permutations(range(1, instance.n_users + 1))))
+
+
+# The 50-user index order of fixed_order_large.txt, which takes the repair.
+@example(("benchmark", throughput_lp(sample(GenConfig(n_users=50, seed=0, battery_max=0.001,
+                                                      min_distance=1.0)), range(1, 51))))
+@settings(max_examples=300)
+@given(throughput_lps())
+def test_staircase_certificate_matches_the_plain_square_start(data):
+    regime, problem = data
+    staircase = solve(problem)
+    # The same arrays without the staircase mark: its duals by LAPACK.
+    plain = solve(dataclasses.replace(problem))
+    event(f"{regime}: {staircase.path}")
+    assert (staircase.status, staircase.path, staircase.pivots) == (
+        plain.status, plain.path, plain.pivots)
+    assert staircase.x.tobytes() == plain.x.tobytes()
+    assert staircase.objective_value == plain.objective_value
+    lower, p_max = problem._staircase
+    m = problem.objective.size
+    duals = lp_module._staircase_duals(problem.objective.tolist(), lower.tolist(), p_max,
+                                       range(m - 1, 0, -1), True)
+    reference = np.linalg.solve(problem.constraint_matrix.T, problem.objective)
+    # Relative to the largest dual: a small dual that is the difference of
+    # large terms carries their round-off, by either method.
+    assert np.abs(np.array(duals) - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 @given(generated_instances_and_orders())

@@ -97,6 +97,27 @@ class TestMrsa:
                     assert not seen_zero
 
 
+    def test_a_slot_an_ulp_short_of_its_energy_is_shortened(self):
+        # At 6e4 J an ulp of user 2's balance is 7.3e-12 J: granted all its
+        # energy affords, the slot replayed at -7.3e-12 J, below ENERGY_TOL.
+        # It gives up that ulp to the leading interval instead.
+        instance = NetworkInstance(
+            params=SystemParams(p_h=100.0, p_max=100000.0),
+            users=(UserProfile(uplink_gain=1.0, downlink_gain=1.0, initial_energy=100.0),
+                   UserProfile(uplink_gain=1.0, downlink_gain=0.001, initial_energy=60000.0)))
+        solution = mrsa(instance)
+        assert validate(instance, solution.schedule).ok
+        assert solution.schedule == layout(solution.tau0, solution.pairs)
+        assert [user for user, _ in solution.pairs] == [2, 1]
+        granted = (60000.0 + harvest_rate(instance.params, instance.users[1])
+                   * solution.schedule.slots[0].end) / 100000.0
+        assert solution.pairs[0][1] < granted
+        assert solution.pairs[0][1] == pytest.approx(granted, rel=1e-15)
+        assert solution.throughput == sum(
+            duration * rate(instance.params, instance.user(user))
+            for user, duration in reversed(solution.pairs))
+
+
 def throughput_oracle(instance, order):
     """Exact optimum of the order's LP in bits: its constraints with the
     unscaled rates as the objective (the LP's own objective is scaled)."""
