@@ -5,9 +5,11 @@ A square problem may ask ``solve`` to try its all-tight start first
 (``LpProblem.tight_start``): every structural column basic, so every row is
 tight. One LAPACK solve of A x = b gives that vertex, and A^T y = c its
 duals: by a second LAPACK solve, or, for the throughput LP's staircase
-layout (``LpProblem.staircase``), by an O(m) back substitution. The vertex
-is returned when it is nonnegative and no slack's reduced cost -y exceeds
-FEASIBILITY_TOL, the simplex's own optimality test. The STM solver's
+layout (``LpProblem.staircase``), by an O(m) back substitution. A staircase
+is built by one gather from its vectors and checked on those O(m) values,
+not on the matrix. The vertex is returned when it is nonnegative and no
+slack's reduced cost -y exceeds FEASIBILITY_TOL, the simplex's own
+optimality test. The STM solver's
 throughput LPs almost always pass (the frame is full and every user spends
 all it has), where the simplex would take one pivot per row. When only
 some duals are negative, each such row's column leaves the basis for the
@@ -58,10 +60,12 @@ class LpProblem:
     ``tight_start`` (square ``constraint_matrix`` only) guesses that every
     variable is basic and every row tight at the optimum. ``solve`` tries
     that vertex, or its repair, before pivoting; the flag never changes
-    which problem is solved. A problem built by :meth:`staircase` also
-    carries its layout, so ``solve`` takes the start's duals by back
-    substitution; the mark is not a field of the constructor, the repr or
-    equality, and ``dataclasses.replace`` drops it.
+    which problem is solved. A problem built by :meth:`staircase` is
+    checked on its vectors instead of by the constructor, and carries a
+    mark: its objective and lower vector as Python floats, and p_max, from
+    which ``solve`` takes the start's duals by back substitution. The mark
+    is not a field of the constructor, the repr or equality, and
+    ``dataclasses.replace`` drops it (the copy is checked in full).
 
     The fields hold float arrays, the caller's own where they already are.
     Construction raises ValueError, in this order, on wrong dimensions, on
@@ -74,8 +78,9 @@ class LpProblem:
     constraint_matrix: np.ndarray
     rhs: np.ndarray
     tight_start: bool = False
-    # (lower, p_max) of a staircase, set once by :meth:`staircase`
-    _staircase: tuple[np.ndarray, float] | None = field(
+    # (objective, lower, p_max) of a staircase as Python floats, set once
+    # by :meth:`staircase`
+    _staircase: tuple[list[float], list[float], float] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -85,17 +90,36 @@ class LpProblem:
         k >= 1 holds lower[k] on and left of the diagonal, with p_max added
         on the diagonal: the throughput LP of a fixed transmission order,
         where lower[k] is minus the harvest rate of slot k's user
-        (``lower[0]`` is not used). ``lower`` is a float array.
+        (``lower[0]`` is not used). The three vectors are float arrays.
+
+        The matrix is one gather (:func:`_staircase_index`) from 0, 1, lower
+        and lower + p_max, added as Python floats, whose bytes are those of
+        the dense build. The constructor's rules run on the O(m) values the
+        matrix is made of instead of its O(m^2) scan: one length for the
+        three vectors, every entry of the objective, rhs, lower[1:] and
+        lower[1:] + p_max finite (so p_max is, whenever it is read), and
+        rhs >= 0. The problem keeps the objective and lower as Python
+        floats, with p_max, as its mark.
 
         Raises:
-            ValueError: as the constructor.
+            ValueError: as the constructor would for the matrix, with its
+                messages.
         """
-        size = lower.size
-        a = np.where(_lower_triangle(size), lower[:, None], 0.0)
-        a[0] = 1.0
-        a.ravel()[size + 1::size + 1] += p_max   # diagonal below row 0
-        problem = cls(objective, a, rhs, tight_start=True)
-        object.__setattr__(problem, "_staircase", (lower, p_max))
+        c_values, b_values, lower_values = objective.tolist(), rhs.tolist(), lower.tolist()
+        size = len(lower_values)
+        if len(c_values) != size or len(b_values) != size:
+            raise ValueError(f"inconsistent dimensions: A is {(size, size)}, "
+                             f"c has {len(c_values)}, b has {len(b_values)}")
+        # Python floats: an overflowing diagonal is infinite with no warning
+        diagonal = [e + p_max for e in lower_values]
+        if not all(map(math.isfinite, c_values + b_values + lower_values[1:] + diagonal[1:])):
+            raise ValueError("all entries must be finite")
+        if b_values and min(b_values) < 0.0:
+            raise ValueError(f"rhs must be >= 0, got {min(b_values)!r}")
+        a = np.array([0.0, 1.0, *lower_values, *diagonal]).take(_staircase_index(size))
+        problem = cls.__new__(cls)
+        vars(problem).update(objective=objective, constraint_matrix=a, rhs=rhs,
+                             tight_start=True, _staircase=(c_values, lower_values, p_max))
         return problem
 
     def __post_init__(self) -> None:
@@ -201,12 +225,16 @@ def _hidden(reduced: np.ndarray, a: np.ndarray) -> np.ndarray:
     return reduced > FEASIBILITY_TOL * np.abs(a).max(axis=0, initial=0.0)
 
 
-@functools.lru_cache(maxsize=64)
-def _lower_triangle(size: int) -> np.ndarray:
-    """Read-only mask of the entries on or below the diagonal."""
-    mask = np.tri(size, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+@functools.lru_cache(maxsize=8)   # each entry is size^2 intp
+def _staircase_index(size: int) -> np.ndarray:
+    """Read-only index of a staircase's entries into [0, 1, lower,
+    lower + p_max]: 1 in row 0, lower[k] left of row k's diagonal,
+    lower[k] + p_max on it and 0 right of it."""
+    rows, columns = np.indices((size, size))
+    index = np.where(columns < rows, 2 + rows, np.where(columns == rows, 2 + size + rows, 0))
+    index[:1] = 1
+    index.flags.writeable = False
+    return index
 
 
 def _staircase_duals(c: list[float], lower: list[float], p_max: float,
@@ -238,7 +266,8 @@ def _staircase_duals(c: list[float], lower: list[float], p_max: float,
     except ZeroDivisionError:
         return None
     y = [alpha - beta * y0 for alpha, beta in zip(alphas, betas)]
-    y[0] = y0
+    if frame:
+        y[0] = y0
     return y
 
 
@@ -252,7 +281,7 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     y = A^-T c is finite (``math.isfinite``, so no NaN reaches a
     comparison), min(x) >= 0 and min(y) >= -FEASIBILITY_TOL. x comes from
     one LAPACK solve. A staircase (:meth:`LpProblem.staircase`) takes y by
-    :func:`_staircase_duals`, an O(m) back substitution in Python floats,
+    :func:`_staircase_duals`, an O(m) back substitution on its mark's floats,
     and only on a zero pivot by a LAPACK solve of A^T y = c; any other
     problem always by that solve, so its results are those of two separate
     dense solves. When only duals fail, each row with a negative one trades
@@ -266,11 +295,8 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     c = problem.objective
     m = c.size
     staircase = problem._staircase
-    if staircase is not None:
-        lower, p_max = staircase
-        c_values, lower_values = c.tolist(), lower.tolist()
     basis = a
-    kept, frame = range(m - 1, 0, -1), True   # the staircase's basic columns
+    kept, frame = range(m - 1, 0, -1), m > 0   # the staircase's basic columns
     for path in ("certified", "repaired"):
         # The checks run on Python floats, which cost less than numpy's
         # reductions at 7 rows.
@@ -281,7 +307,7 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
                 return None
             y = None
             if staircase is not None:
-                y = _staircase_duals(c_values, lower_values, p_max, kept, frame)
+                y = _staircase_duals(*staircase, kept, frame)
             if y is None:   # a slack's cost is 0
                 costs = c if path == "certified" else np.where(dropped, 0.0, c)
                 y = np.linalg.solve(basis.T, costs).tolist()

@@ -68,10 +68,9 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
     counting the energy it will have harvested by the end of that time, and
     is placed at the back of the remaining frame so that higher-rate users
     transmit later. Users whose rate is zero get no airtime. Whatever time
-    is left over becomes the leading unallocated interval. A slot whose
-    :func:`model.energy_balance` replays below -ENERGY_TOL (an ulp at large
-    energies) is shortened and its time given to that interval, which
-    lowers no other balance; the laid-out schedule is kept.
+    is left over becomes the leading unallocated interval. A slot that
+    replays an ulp short of its energy is shortened (:func:`_replayed`);
+    the laid-out schedule is kept.
     """
     params = instance.params
     rates = [rate(params, u) for u in instance.users]
@@ -93,25 +92,42 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
         if remaining == 0.0:
             break
 
+    pairs = tuple((i, tau) for i, tau in reversed(granted) if tau > 0.0)
+    remaining, pairs, schedule = _replayed(instance, remaining, pairs, harvests)
+    throughput = sum((tau * rates[i - 1] for i, tau in reversed(pairs)), 0.0)
+    solution = StmSolution(remaining, pairs, throughput)
+    object.__setattr__(solution, "schedule", schedule)   # the property's own value
+    return solution
+
+
+def _replayed(instance: NetworkInstance, tau0: float, pairs: tuple[tuple[int, float], ...],
+              harvests: Sequence[float] | dict[int, float]
+              ) -> tuple[float, tuple[tuple[int, float], ...], Schedule]:
+    """``(tau0, pairs, layout(tau0, pairs))`` once every slot replays: a slot
+    whose :func:`model.energy_balance` falls below -ENERGY_TOL (an ulp at
+    large energies) is shortened by its deficit over p_max, then by one ulp
+    toward 0, and the time is given to tau0, which lowers no other balance.
+    ``harvests[user]`` is the user's harvest rate. ``pairs`` comes back as
+    given when no slot was cut.
+    """
+    params = instance.params
     while True:
-        pairs = tuple((i, tau) for i, tau in reversed(granted) if tau > 0.0)
-        schedule = layout(remaining, pairs)
+        schedule = layout(tau0, pairs)
         # validate's energy_balance arithmetic: the cut that each deficit needs
         cuts = {slot.user: -balance / params.p_max for slot in schedule.slots
                 if (balance := energy_balance(params, instance.users[slot.user - 1],
                                               harvests[slot.user], slot)) < -ENERGY_TOL}
         if not cuts:
-            break
-        for k, (i, tau) in enumerate(granted):
+            return tau0, pairs, schedule
+        kept = []
+        for i, tau in reversed(pairs):   # mrsa's grant order, in which tau0 sums
             if i in cuts:
                 shorter = max(0.0, math.nextafter(tau - cuts[i], 0.0))
-                granted[k] = (i, shorter)
-                remaining += tau - shorter
-
-    throughput = sum((tau * rates[i - 1] for i, tau in granted), 0.0)
-    solution = StmSolution(remaining, pairs, throughput)
-    object.__setattr__(solution, "schedule", schedule)   # the property's own value
-    return solution
+                tau0 += tau - shorter
+                tau = shorter
+            if tau > 0.0:
+                kept.append((i, tau))
+        pairs = tuple(reversed(kept))
 
 
 def lp_coefficients(instance: NetworkInstance) -> np.ndarray:
@@ -196,12 +212,23 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
 
     Ties break toward the lexicographically smallest order. Only for small
     instances. The closed forms are computed once, and every order's LP is
-    gathered from them.
+    gathered from them. Only the winner is laid out; a slot of it that
+    replays an ulp short of its energy is shortened as in :func:`mrsa`, and
+    the throughput then summed again from the slots.
 
     Raises:
         TooLarge: more than BRUTE_FORCE_LIMIT users.
     """
-    solve = fixed_order_stm   # looked up per call, so a rebound name is honoured
-    if instance.n_users <= BRUTE_FORCE_LIMIT:   # else best_order raises TooLarge first
-        solve = functools.partial(solve, coefficients=lp_coefficients(instance))
-    return best_order(instance, solve, lambda solution: solution.throughput)
+    coefficients = None   # best_order raises TooLarge before any order is solved
+    if instance.n_users <= BRUTE_FORCE_LIMIT:
+        coefficients = lp_coefficients(instance)
+    # fixed_order_stm is looked up per call, so a rebound name is honoured
+    best = best_order(instance, functools.partial(fixed_order_stm, coefficients=coefficients),
+                      lambda solution: solution.throughput)
+    tau0, pairs, schedule = _replayed(instance, best.tau0, best.pairs,
+                                      (-coefficients[2]).tolist())
+    if pairs is not best.pairs:   # in slot order from the unscaled rates, as fixed_order_stm
+        rates = coefficients[3].tolist()
+        best = StmSolution(tau0, pairs, sum((tau * rates[i] for i, tau in pairs), 0.0))
+    object.__setattr__(best, "schedule", schedule)   # the property's own value
+    return best

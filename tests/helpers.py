@@ -7,6 +7,7 @@ vertex enumeration in exact integer arithmetic (:func:`exact_vertex_max`).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -256,3 +257,30 @@ def two_solve_certificate(problem) -> tuple[np.ndarray, str] | None:
         basis_matrix[:, dropped] = 0.0
         basis_matrix[dropped, dropped] = 1.0
         basic_costs[dropped] = 0.0
+
+
+def dense_staircase(lower: np.ndarray, p_max: float) -> np.ndarray:
+    """The matrix of ``LpProblem.staircase`` built densely, the reference
+    its gather must match byte for byte: ``lower`` on and left of the
+    diagonal, row 0 overwritten by ones, then p_max added on the diagonal
+    below row 0. An overflowing or invalid add leaves its inf or NaN
+    without a warning, for the constructor's check to refuse."""
+    size = lower.size
+    a = np.where(np.tri(size, dtype=bool), lower[:, None], 0.0)
+    a[:1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        a.ravel()[size + 1::size + 1] += p_max
+    return a
+
+
+def assert_same_fields(problem, twin) -> None:
+    """Every compared field of two ``LpProblem``: arrays by dtype, shape and
+    bytes, anything else by equality."""
+    for field in dataclasses.fields(problem):
+        if field.compare:
+            mine, theirs = getattr(problem, field.name), getattr(twin, field.name)
+            if isinstance(mine, np.ndarray):
+                assert (mine.dtype, mine.shape, mine.tobytes()) == (
+                    theirs.dtype, theirs.shape, theirs.tobytes()), field.name
+            else:
+                assert mine == theirs, field.name

@@ -365,6 +365,21 @@ class TestSolve:
         golden = json.loads((DATA / "golden_mrsa.json").read_text())
         assert golden["throughput"] <= opt_result["throughput"] * (1 + 1e-9)
 
+    def test_opt_at_large_energies_replays(self, tmp_path, capsys):
+        # The LP's vertex spends all of user 2's 6e4 J: one ulp of it,
+        # 7.3e-12 J, lies below ENERGY_TOL, and the schedule must replay.
+        instance_path = write_json(tmp_path / "instance.json", {
+            "params": {"p_h": 100.0, "p_max": 100000.0},
+            "users": [{"uplink_gain": 1.0, "downlink_gain": 1.0, "initial_energy": 100.0},
+                      {"uplink_gain": 1.0, "downlink_gain": 0.001, "initial_energy": 60000.0}]})
+        results = {}
+        for alg in ("opt", "mrsa"):
+            assert main(["solve", "--instance", instance_path, "--problem", "stm",
+                         "--alg", alg]) == 0
+            results[alg] = json.loads(capsys.readouterr().out)
+            assert results[alg]["feasibility"]["ok"]
+        assert results["opt"]["throughput"] >= results["mrsa"]["throughput"] * (1 - 1e-9)
+
     def test_solve_one_rejects_bad_combo(self):
         instance = instance_from_dict(
             json.loads((DATA / "golden_instance.json").read_text()))

@@ -16,7 +16,8 @@ from wpcn_sched.lp import (
 )
 from wpcn_sched.stm import throughput_lp
 
-from helpers import exact_vertex_max, random_instance, two_solve_certificate
+from helpers import (assert_same_fields, exact_vertex_max, random_instance,
+                     two_solve_certificate)
 
 
 def lp(c, a, b, tight_start=False) -> LpProblem:
@@ -505,12 +506,22 @@ class TestStaircase:
         assert problem._staircase is not None
         assert plain._staircase is None
         assert dataclasses.replace(problem)._staircase is None
+        # The staircase skips the constructor: each compared field, including
+        # one added later, must still be what the constructor would make.
+        assert_same_fields(problem, dataclasses.replace(problem))
+
+    def test_empty_staircase_is_the_empty_lp(self):
+        empty = np.zeros(0)
+        problem = LpProblem.staircase(empty, empty, empty, 0.5)
+        assert problem.constraint_matrix.shape == (0, 0)
+        for solution in (solve(problem), solve(dataclasses.replace(problem))):
+            assert (solution.status, solution.x.tolist(), solution.objective_value,
+                    solution.path) == (LpStatus.OPTIMAL, [], 0.0, "certified")
 
     @staticmethod
     def duals(problem, kept=None, frame=True):
-        lower, p_max = problem._staircase
         m = problem.objective.size
-        return lp_module._staircase_duals(problem.objective.tolist(), lower.tolist(), p_max,
+        return lp_module._staircase_duals(*problem._staircase,
                                           range(m - 1, 0, -1) if kept is None else kept, frame)
 
     def test_zero_pivot_takes_the_lapack_fallback(self):

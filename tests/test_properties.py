@@ -29,7 +29,7 @@ from wpcn_sched import lp as lp_module
 from wpcn_sched.lp import PIVOT_TOL, LpProblem, LpStatus, NumericalBreakdown, solve
 from wpcn_sched.stm import FRAME_LENGTH, fixed_order_stm, lp_coefficients, throughput_lp
 
-from helpers import exact_vertex_max
+from helpers import assert_same_fields, dense_staircase, exact_vertex_max
 
 
 @st.composite
@@ -229,14 +229,70 @@ def test_staircase_certificate_matches_the_plain_square_start(data):
         plain.status, plain.path, plain.pivots)
     assert staircase.x.tobytes() == plain.x.tobytes()
     assert staircase.objective_value == plain.objective_value
-    lower, p_max = problem._staircase
     m = problem.objective.size
-    duals = lp_module._staircase_duals(problem.objective.tolist(), lower.tolist(), p_max,
-                                       range(m - 1, 0, -1), True)
+    duals = lp_module._staircase_duals(*problem._staircase, range(m - 1, 0, -1), True)
     reference = np.linalg.solve(problem.constraint_matrix.T, problem.objective)
     # Relative to the largest dual: a small dual that is the difference of
     # large terms carries their round-off, by either method.
     assert np.abs(np.array(duals) - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def staircase_vectors(draw):
+    """(objective, rhs, lower, p_max) of any sign and magnitude, -0.0 and
+    overflowing diagonals included, with at most one defect: a NaN or
+    infinity in one entry or in p_max, a negative rhs entry, or one vector
+    of another length. ``lower[0]`` is never read and may be anything."""
+    size = draw(st.integers(0, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    vectors = {
+        "objective": draw(st.lists(finite, min_size=size, max_size=size)),
+        "rhs": draw(st.lists(st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0),
+                             min_size=size, max_size=size)),
+        "lower": draw(st.lists(finite, min_size=size, max_size=size)),
+    }
+    p_max = draw(finite)
+    if size:
+        vectors["lower"][0] = draw(st.floats())
+    defect = draw(st.sampled_from(["none", "non-finite", "p_max", "negative rhs", "length"]))
+    event(defect)
+    if defect == "non-finite" and size:
+        vector = vectors[draw(st.sampled_from(sorted(vectors)))]
+        vector[draw(st.integers(0, size - 1))] = draw(st.sampled_from(NON_FINITE))
+    elif defect == "p_max":
+        p_max = draw(st.sampled_from(NON_FINITE))
+    elif defect == "negative rhs" and size:
+        vectors["rhs"][draw(st.integers(0, size - 1))] = draw(
+            st.floats(max_value=-5e-324, allow_infinity=False))
+    elif defect == "length":
+        vector = vectors[draw(st.sampled_from(sorted(vectors)))]
+        if vector and draw(st.booleans()):
+            vector.pop()
+        else:
+            vector.append(draw(finite))
+    return (*(np.array(vectors[name], dtype=float) for name in ("objective", "rhs", "lower")),
+            p_max)
+
+
+# The diagonal 1e308 + 1e308 overflows.
+@example((np.zeros(2), np.ones(2), np.array([0.0, 1e308]), 1e308))
+@settings(max_examples=300)
+@given(staircase_vectors())
+def test_staircase_is_the_dense_build(data):
+    objective, rhs, lower, p_max = data
+    try:
+        reference = LpProblem(objective, dense_staircase(lower, p_max), rhs, tight_start=True)
+    except ValueError as error:
+        event("refused")
+        with pytest.raises(ValueError) as raised:
+            LpProblem.staircase(objective, rhs, lower, p_max)
+        assert str(raised.value) == str(error)
+        return
+    problem = LpProblem.staircase(objective, rhs, lower, p_max)
+    assert_same_fields(problem, reference)
 
 
 @given(generated_instances_and_orders())

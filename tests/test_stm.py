@@ -39,6 +39,13 @@ def single_user_instance(p_max, harvest, battery):
     return NetworkInstance(params=params, users=(user,))
 
 
+# At 6e4 J an ulp of user 2's balance is 7.3e-12 J, more than ENERGY_TOL.
+ULP_SHORT = NetworkInstance(
+    params=SystemParams(p_h=100.0, p_max=100000.0),
+    users=(UserProfile(uplink_gain=1.0, downlink_gain=1.0, initial_energy=100.0),
+           UserProfile(uplink_gain=1.0, downlink_gain=0.001, initial_energy=60000.0)))
+
+
 class TestMrsa:
     def test_battery_rich_user_takes_whole_frame(self):
         instance = single_user_instance(p_max=0.1, harvest=0.001, battery=1.0)
@@ -98,13 +105,9 @@ class TestMrsa:
 
 
     def test_a_slot_an_ulp_short_of_its_energy_is_shortened(self):
-        # At 6e4 J an ulp of user 2's balance is 7.3e-12 J: granted all its
-        # energy affords, the slot replayed at -7.3e-12 J, below ENERGY_TOL.
-        # It gives up that ulp to the leading interval instead.
-        instance = NetworkInstance(
-            params=SystemParams(p_h=100.0, p_max=100000.0),
-            users=(UserProfile(uplink_gain=1.0, downlink_gain=1.0, initial_energy=100.0),
-                   UserProfile(uplink_gain=1.0, downlink_gain=0.001, initial_energy=60000.0)))
+        # Granted all its energy affords, user 2's slot replayed at
+        # -7.3e-12 J. It gives up that ulp to the leading interval instead.
+        instance = ULP_SHORT
         solution = mrsa(instance)
         assert validate(instance, solution.schedule).ok
         assert solution.schedule == layout(solution.tau0, solution.pairs)
@@ -241,10 +244,25 @@ class TestBruteForce:
 
         monkeypatch.setattr(stm_module, "layout", counted)
         solution = brute_force_stm(random_instance(seed=4, n_users=6, battery_max=0.001))
-        assert calls == []
-        solution.schedule
-        solution.schedule
+        assert calls == [solution.pairs]   # laid out once, to replay it
+        assert solution.schedule is solution.schedule
         assert calls == [solution.pairs]
+
+    def test_a_winner_an_ulp_short_of_its_energy_is_shortened(self):
+        # The LP's vertex spends all of user 2's energy and replays an ulp
+        # short; the oracle's winner gives that ulp to tau0, as mrsa does.
+        instance = ULP_SHORT
+        vertex = fixed_order_stm(instance, [2, 1])
+        assert not validate(instance, vertex.schedule).ok
+        solution = brute_force_stm(instance)
+        assert validate(instance, solution.schedule).ok
+        assert solution.schedule == layout(solution.tau0, solution.pairs)
+        assert [user for user, _ in solution.pairs] == [2, 1]
+        assert solution.tau0 > vertex.tau0
+        assert solution.throughput == sum(
+            duration * rate(instance.params, instance.user(user))
+            for user, duration in solution.pairs)
+        assert solution.throughput >= mrsa(instance).throughput * (1 - 1e-9)
 
     def test_single_user_equals_fixed_order(self):
         instance = single_user_instance(p_max=0.2, harvest=0.1, battery=0.0)
