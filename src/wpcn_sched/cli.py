@@ -39,7 +39,7 @@ from .model import (
     to_dict,
     validate,
 )
-from .netgen import RNG_NAME, GenConfig, config_from_dict, config_to_dict, derive_seed, sample
+from .netgen import RNG_NAME, GenConfig, config_from_dict, derive_seed, sample
 
 PROBLEMS = ("mls", "stm")
 EXACT_RATIO_TOL = 1e-6  # mrsa counts as exactly optimal at ratio >= 1 - this
@@ -325,7 +325,7 @@ def _cmd_gen(args) -> int:
     _check_writable_target(args.out)
     instance = sample(config)
     payload = instance_to_dict(instance)
-    payload["provenance"] = {"generator": RNG_NAME, "config": config_to_dict(config)}
+    payload["provenance"] = {"generator": RNG_NAME, "config": to_dict(config)}
     with _replacing(args.out) as fh:
         fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0

@@ -6,12 +6,12 @@ A square problem may ask ``solve`` to try its all-tight start first
 tight. One LAPACK solve of A x = b gives that vertex, and A^T y = c its
 duals: by a second LAPACK solve, or, for the throughput LP's staircase
 layout (``LpProblem.staircase``), by an O(m) back substitution. A staircase
-is built by one gather from its vectors and checked on those O(m) values,
-not on the matrix. The vertex is returned when it is nonnegative and no
-slack's reduced cost -y exceeds FEASIBILITY_TOL, the simplex's own
-optimality test. The STM solver's
-throughput LPs almost always pass (the frame is full and every user spends
-all it has), where the simplex would take one pivot per row. When only
+is built by one gather from its vectors, and the input rules run on the
+O(m) values the matrix is made of. The vertex is returned when it is
+nonnegative and no slack's reduced cost -y exceeds FEASIBILITY_TOL, the
+simplex's own optimality test. The STM solver's throughput LPs almost
+always pass (the frame is full and every user spends all it has), where
+the simplex would take one pivot per row. When only
 some duals are negative, each such row's column leaves the basis for the
 row's slack (in a throughput LP, those users get no time) and the result is
 certified once more. Any other failure falls back to the simplex below, so
@@ -60,18 +60,16 @@ class LpProblem:
     ``tight_start`` (square ``constraint_matrix`` only) guesses that every
     variable is basic and every row tight at the optimum. ``solve`` tries
     that vertex, or its repair, before pivoting; the flag never changes
-    which problem is solved. A problem built by :meth:`staircase` is
-    checked on its vectors instead of by the constructor, and carries a
-    mark: its objective and lower vector as Python floats, and p_max, from
-    which ``solve`` takes the start's duals by back substitution. The mark
-    is not a field of the constructor, the repr or equality, and
-    ``dataclasses.replace`` drops it (the copy is checked in full).
+    which problem is solved. A problem built by :meth:`staircase` carries
+    a mark: its objective and lower vector as Python floats, and p_max,
+    from which ``solve`` takes the start's duals by back substitution. The
+    mark is not a field of the constructor, the repr or equality, and
+    ``dataclasses.replace`` drops it.
 
     The fields hold float arrays, the caller's own where they already are.
-    Construction raises ValueError, in this order, on wrong dimensions, on
-    a NaN or infinite entry (one count of ``np.isfinite`` over all three
-    arrays), on a negative rhs entry (a Python ``min`` over its list; -0.0
-    passes) and on ``tight_start`` with a non-square matrix.
+    Both constructors raise ValueError, in this order, on wrong dimensions,
+    on a NaN or infinite entry and on a negative rhs entry (-0.0 passes);
+    this one then on ``tight_start`` with a non-square matrix.
     """
 
     objective: np.ndarray
@@ -94,28 +92,19 @@ class LpProblem:
 
         The matrix is one gather (:func:`_staircase_index`) from 0, 1, lower
         and lower + p_max, added as Python floats, whose bytes are those of
-        the dense build. The constructor's rules run on the O(m) values the
-        matrix is made of instead of its O(m^2) scan: one length for the
-        three vectors, every entry of the objective, rhs, lower[1:] and
-        lower[1:] + p_max finite (so p_max is, whenever it is read), and
-        rhs >= 0. The problem keeps the objective and lower as Python
-        floats, with p_max, as its mark.
+        the dense build. The input rules (:func:`_check_inputs`) run on the
+        O(m) values the matrix is made of, lower[1:] and lower[1:] + p_max
+        (``lower[0]`` is not read). The problem keeps the objective and
+        lower as Python floats, with p_max, as its mark.
 
         Raises:
-            ValueError: as the constructor would for the matrix, with its
-                messages.
+            ValueError: as the constructor would for the matrix.
         """
         c_values, b_values, lower_values = objective.tolist(), rhs.tolist(), lower.tolist()
         size = len(lower_values)
-        if len(c_values) != size or len(b_values) != size:
-            raise ValueError(f"inconsistent dimensions: A is {(size, size)}, "
-                             f"c has {len(c_values)}, b has {len(b_values)}")
         # Python floats: an overflowing diagonal is infinite with no warning
         diagonal = [e + p_max for e in lower_values]
-        if not all(map(math.isfinite, c_values + b_values + lower_values[1:] + diagonal[1:])):
-            raise ValueError("all entries must be finite")
-        if b_values and min(b_values) < 0.0:
-            raise ValueError(f"rhs must be >= 0, got {min(b_values)!r}")
+        _check_inputs(c_values, (size, size), lower_values[1:] + diagonal[1:], b_values)
         a = np.array([0.0, 1.0, *lower_values, *diagonal]).take(_staircase_index(size))
         problem = cls.__new__(cls)
         vars(problem).update(objective=objective, constraint_matrix=a, rhs=rhs,
@@ -128,24 +117,30 @@ class LpProblem:
         b = np.asarray(self.rhs, dtype=float)
         if a.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise ValueError("objective and rhs must be vectors, constraint_matrix a matrix")
-        m, n = b.size, c.size
-        if a.shape != (m, n):
-            raise ValueError(f"inconsistent dimensions: A is {a.shape}, c has {n}, b has {m}")
-        # count_nonzero and a list's min skip the Python wrappers of .all()
-        # and b.min(), which cost more than the checks on 7 rows
-        if np.count_nonzero(np.isfinite(np.concatenate((a.ravel(), b, c)))) != a.size + m + n:
-            raise ValueError("all entries must be finite")
-        b_values = b.tolist()
-        if b_values and min(b_values) < 0.0:
-            raise ValueError(f"rhs must be >= 0, got {min(b_values)!r}")
-        if c is not self.objective:   # np.asarray copied or converted it
-            object.__setattr__(self, "objective", c)
-        if a is not self.constraint_matrix:
-            object.__setattr__(self, "constraint_matrix", a)
-        if b is not self.rhs:
-            object.__setattr__(self, "rhs", b)
-        if self.tight_start and m != n:
+        _check_inputs(c.tolist(), a.shape, a.ravel().tolist(), b.tolist())
+        object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "constraint_matrix", a)
+        object.__setattr__(self, "rhs", b)
+        if self.tight_start and b.size != c.size:
             raise ValueError(f"tight_start needs a square constraint_matrix, got {a.shape}")
+
+
+def _check_inputs(c: list[float], a_shape: tuple[int, ...], a_entries: list[float],
+                  b: list[float]) -> None:
+    """The LP's input rules, in order: A is len(b) x len(c) (``a_shape``),
+    every entry of c, b and ``a_entries`` (those of A not known to be
+    finite) is finite, and b >= 0 (-0.0 passes).
+
+    Raises:
+        ValueError: the first rule broken.
+    """
+    if a_shape != (len(b), len(c)):
+        raise ValueError(f"inconsistent dimensions: A is {a_shape}, c has {len(c)}, "
+                         f"b has {len(b)}")
+    if not all(map(math.isfinite, c + b + a_entries)):
+        raise ValueError("all entries must be finite")
+    if b and min(b) < 0.0:
+        raise ValueError(f"rhs must be >= 0, got {min(b)!r}")
 
 
 @dataclass(frozen=True)

@@ -351,14 +351,14 @@ def validate(instance: NetworkInstance, schedule: Schedule,
             that do not sit back-to-back starting at tau0.
     """
     n = instance.n_users
-    seen: set[int] = set()
+    slots: dict[int, Slot] = {}
     expected_start = schedule.tau0
     for slot in schedule.slots:
         if not 1 <= slot.user <= n:
             raise MalformedSchedule(f"slot references unknown user {slot.user}")
-        if slot.user in seen:
+        if slot.user in slots:
             raise MalformedSchedule(f"user {slot.user} scheduled twice")
-        seen.add(slot.user)
+        slots[slot.user] = slot
         if abs(slot.start - expected_start) > CONTIGUITY_TOL:
             raise MalformedSchedule(
                 f"slot for user {slot.user} starts at {slot.start!r}, "
@@ -366,8 +366,6 @@ def validate(instance: NetworkInstance, schedule: Schedule,
         expected_start = slot.start + slot.duration
 
     params = instance.params
-    slots = {slot.user: slot for slot in schedule.slots}
-
     energy_ok: dict[int, bool] = {}
     traffic_ok: dict[int, bool] = {}
     throughput = 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import NetworkInstance, SystemParams, UserProfile, from_dict, require_finite, to_dict
+from .model import NetworkInstance, SystemParams, UserProfile, from_dict, require_finite
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng; pinned by golden tests
 
@@ -151,10 +151,6 @@ def sample(config: GenConfig) -> NetworkInstance:
                                  initial_energy=battery,
                                  demand_bits=config.demand_bits))
     return NetworkInstance(params=config.system, users=tuple(users))
-
-
-def config_to_dict(config: GenConfig) -> dict:
-    return to_dict(config)
 
 
 def config_from_dict(data: dict) -> GenConfig:

@@ -94,7 +94,9 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
 
     pairs = tuple((i, tau) for i, tau in reversed(granted) if tau > 0.0)
     remaining, pairs, schedule = _replayed(instance, remaining, pairs, harvests)
-    throughput = sum((tau * rates[i - 1] for i, tau in reversed(pairs)), 0.0)
+    throughput = 0.0   # a left fold: sum() compensates from Python 3.12 on
+    for i, tau in reversed(pairs):
+        throughput += tau * rates[i - 1]
     solution = StmSolution(remaining, pairs, throughput)
     object.__setattr__(solution, "schedule", schedule)   # the property's own value
     return solution
@@ -107,8 +109,7 @@ def _replayed(instance: NetworkInstance, tau0: float, pairs: tuple[tuple[int, fl
     whose :func:`model.energy_balance` falls below -ENERGY_TOL (an ulp at
     large energies) is shortened by its deficit over p_max, then by one ulp
     toward 0, and the time is given to tau0, which lowers no other balance.
-    ``harvests[user]`` is the user's harvest rate. ``pairs`` comes back as
-    given when no slot was cut.
+    ``harvests[user]`` is the user's harvest rate.
     """
     params = instance.params
     while True:
@@ -213,8 +214,9 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
     Ties break toward the lexicographically smallest order. Only for small
     instances. The closed forms are computed once, and every order's LP is
     gathered from them. Only the winner is laid out; a slot of it that
-    replays an ulp short of its energy is shortened as in :func:`mrsa`, and
-    the throughput then summed again from the slots.
+    replays an ulp short of its energy is shortened as in :func:`mrsa`. The
+    throughput is summed from the replayed slots as :func:`fixed_order_stm`
+    sums it, so an uncut winner keeps its bits.
 
     Raises:
         TooLarge: more than BRUTE_FORCE_LIMIT users.
@@ -227,8 +229,10 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
                       lambda solution: solution.throughput)
     tau0, pairs, schedule = _replayed(instance, best.tau0, best.pairs,
                                       (-coefficients[2]).tolist())
-    if pairs is not best.pairs:   # in slot order from the unscaled rates, as fixed_order_stm
-        rates = coefficients[3].tolist()
-        best = StmSolution(tau0, pairs, sum((tau * rates[i] for i, tau in pairs), 0.0))
-    object.__setattr__(best, "schedule", schedule)   # the property's own value
-    return best
+    rates = coefficients[3].tolist()
+    throughput = 0.0   # fixed_order_stm's left fold, in slot order
+    for i, tau in pairs:
+        throughput += tau * rates[i]
+    solution = StmSolution(tau0, pairs, throughput)
+    object.__setattr__(solution, "schedule", schedule)   # the property's own value
+    return solution

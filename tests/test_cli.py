@@ -745,7 +745,7 @@ class TestAtomicWrites:
         config_path = write_json(tmp_path / "gen.json", base_gen_dict())
         out = tmp_path / "instance.json"
         out.write_text("old\n")
-        monkeypatch.setattr(cli_module, "config_to_dict", lambda config: {"x": float("nan")})
+        monkeypatch.setattr(cli_module, "to_dict", lambda config: {"x": float("nan")})
         with pytest.raises(ValueError, match="not JSON compliant"):
             main(["gen", "--config", config_path, "--out", str(out)])
         assert out.read_text() == "old\n"

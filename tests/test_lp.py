@@ -16,7 +16,7 @@ from wpcn_sched.lp import (
 )
 from wpcn_sched.stm import throughput_lp
 
-from helpers import (assert_same_fields, exact_vertex_max, random_instance,
+from helpers import (assert_same_fields, dense_staircase, exact_vertex_max, random_instance,
                      two_solve_certificate)
 
 
@@ -74,6 +74,24 @@ class TestProblemValidation:
             lp([1.0], [[1.0]], [-1.0])
         with pytest.raises(ValueError, match="rhs must be >= 0"):
             lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, -1e-300], tight_start=True)
+
+    # Where two rules are broken, both constructors report the first one:
+    # dimensions, then finiteness, then the sign of rhs.
+    @pytest.mark.parametrize("objective, rhs, lower, message", [
+        ([0.0, np.nan], [1.0], [0.0, -0.5], "inconsistent dimensions"),
+        ([0.0, 1.0], [1.0], [0.0, np.nan], "inconsistent dimensions"),
+        ([0.0, np.nan], [1.0, -1.0], [0.0, -0.5], "all entries must be finite"),
+        ([0.0, 1.0], [1.0, -1.0], [0.0, np.nan], "all entries must be finite"),
+        ([0.0, 1.0], [np.nan, -1.0], [0.0, -0.5], "all entries must be finite"),
+    ], ids=["length-and-nan-in-c", "length-and-nan-in-A", "nan-in-c-and-negative-rhs",
+            "nan-in-A-and-negative-rhs", "nan-and-negative-in-rhs"])
+    def test_the_first_broken_rule_is_reported(self, objective, rhs, lower, message):
+        c, b, low = (np.array(v, dtype=float) for v in (objective, rhs, lower))
+        with pytest.raises(ValueError, match=message) as general:
+            LpProblem(c, dense_staircase(low, 0.5), b, tight_start=True)
+        with pytest.raises(ValueError, match=message) as staircase:
+            LpProblem.staircase(c, b, low, 0.5)
+        assert str(staircase.value) == str(general.value)
 
     def test_negative_zero_rhs_is_zero(self):
         # -0.0 passes the sign check and enters the tableau as +0.0

@@ -9,8 +9,8 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 from wpcn_sched import GenConfig, SystemParams, derive_seed, linear_gain, path_loss_db, sample
-from wpcn_sched.netgen import (RNG_NAME, GainOutOfRange, config_from_dict, config_to_dict,
-                               sample_gain)
+from wpcn_sched.model import to_dict
+from wpcn_sched.netgen import RNG_NAME, GainOutOfRange, config_from_dict, sample_gain
 
 from helpers import reference_sample
 
@@ -83,7 +83,7 @@ class TestConfig:
 
     def test_roundtrip(self):
         config = base_config(battery_max=0.5, fading=False, min_distance=1.0)
-        assert config_from_dict(config_to_dict(config)) == config
+        assert config_from_dict(to_dict(config)) == config
 
     def test_demand_and_battery_propagate(self):
         config = base_config(demand_bits=1e4, battery_max=0.25, n_users=50)

@@ -7,12 +7,15 @@ take the simplex) and of the exact throughput oracle's winners, and the
 path every order's LP takes in that oracle. Refactors
 must reproduce them byte for byte; only a change meant to alter the outputs
 may rewrite them, and its change log then says why. They were written on CPython 3.11 with numpy 2.4.
+Every STM throughput is a left fold of its terms, not ``sum()``, which
+compensates from CPython 3.12 on, so that change does not move them.
 """
 
 import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -142,6 +145,17 @@ def lp_path_lines() -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def sweep_bytes(workdir: pathlib.Path, name: str) -> dict[str, bytes]:
+    """The CSV and JSONL that ``sweep`` writes for ``SWEEPS[name]``, by file
+    name."""
+    spec_path = workdir / f"{name}.json"
+    spec_path.write_text(json.dumps(SWEEPS[name]))
+    paths = workdir / f"sweep_{name}.csv", workdir / f"sweep_{name}.jsonl"
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(paths[0]),
+                 "--raw", str(paths[1])]) == 0
+    return {path.name: path.read_bytes() for path in paths}
+
+
 def produce(workdir: pathlib.Path) -> dict[str, bytes]:
     """Every pinned output, by file name under ``data/bytes``."""
     outputs = {}
@@ -160,14 +174,8 @@ def produce(workdir: pathlib.Path) -> dict[str, bytes]:
                          "--problem", problem, "--alg", alg]) == 0
     outputs["solve_gen_instance.txt"] = stdout.getvalue().encode()
 
-    for name, spec in SWEEPS.items():
-        spec_path = workdir / f"{name}.json"
-        spec_path.write_text(json.dumps(spec))
-        csv_path, raw_path = workdir / f"sweep_{name}.csv", workdir / f"sweep_{name}.jsonl"
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(csv_path),
-                     "--raw", str(raw_path)]) == 0
-        outputs[csv_path.name] = csv_path.read_bytes()
-        outputs[raw_path.name] = raw_path.read_bytes()
+    for name in SWEEPS:
+        outputs.update(sweep_bytes(workdir, name))
 
     outputs["fixed_order_large.txt"] = fixed_order_lines().encode()
     outputs["fixed_order_pivoted.txt"] = pivoted_lines().encode()
@@ -193,6 +201,30 @@ def test_output_matches_pinned_bytes(outputs, name):
 
 def test_every_pinned_file_is_checked(outputs):
     assert sorted(outputs) == sorted(p.name for p in BYTES.iterdir())
+
+
+def neumaier_sum(terms, start=0):
+    """``sum`` of floats as CPython computes it from 3.12 on: Neumaier's
+    compensated summation, the compensation added once at the end when it
+    is finite and nonzero."""
+    total, compensation = float(start), 0.0
+    for term in terms:
+        t = total + term
+        if abs(total) >= abs(term):
+            compensation += (total - t) + term
+        else:
+            compensation += (term - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_stm_throughputs_do_not_follow_the_python_version_of_sum(tmp_path, monkeypatch):
+    # The STM throughputs are left folds, so a compensated sum() in stm, as
+    # on CPython 3.12 and later, must leave the pinned sweeps as they are.
+    monkeypatch.setattr(stm, "sum", neumaier_sum, raising=False)
+    for name in SWEEPS:
+        for file, data in sweep_bytes(tmp_path, name).items():
+            assert data == (BYTES / file).read_bytes(), file
 
 
 def test_module_entry_point_writes_the_pinned_instance(tmp_path):
