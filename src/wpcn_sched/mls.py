@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import (ENERGY_TOL, NetworkInstance, Schedule, _s_min, best_order, check_order,
-                    energy_balance, harvest_rate, layout, s_min, tau_min)
+from .model import (ENERGY_TOL, NetworkInstance, Schedule, best_order, check_order,
+                    energy_balance, layout)
 
 
 @dataclass(frozen=True)
@@ -41,23 +41,24 @@ def fixed_order_mls(instance: NetworkInstance, order: Sequence[int]) -> MlsSolut
     """
     check_order(order, instance.n_users)
     params = instance.params
-    users = [instance.user(i) for i in order]
-    # Each closed form once per user: s_min and the replay take these values.
-    durations = [tau_min(params, user) for user in users]
-    harvests = [harvest_rate(params, user) for user in users]
+    # The instance's closed forms, tau_min read first: every user's tau_min
+    # error comes before any user's s_min error.
+    durations = instance.tau_mins
+    harvests = instance.harvest_rates
+    starts = instance.s_mins
 
     tau0 = elapsed = 0.0
-    for user, d, c in zip(users, durations, harvests):
-        tau0 = max(tau0, _s_min(params, user, d, c) - elapsed)
-        elapsed += d
+    for i in order:
+        tau0 = max(tau0, starts[i - 1] - elapsed)
+        elapsed += durations[i - 1]
 
     while True:
-        schedule = layout(tau0, zip(order, durations))
+        schedule = layout(tau0, ((i, durations[i - 1]) for i in order))
         # validate's energy_balance arithmetic. Only harvesting users replay a
         # deficit: s_min checked the others' batteries.
-        delay = max((-balance / c
-                     for user, c, slot in zip(users, harvests, schedule.slots)
-                     if (balance := energy_balance(params, user, c, slot)) < -ENERGY_TOL),
+        delay = max((-balance / harvests[slot.user - 1] for slot in schedule.slots
+                     if (balance := energy_balance(params, instance.users[slot.user - 1],
+                                                   harvests[slot.user - 1], slot)) < -ENERGY_TOL),
                     default=0.0)
         if not delay:
             return MlsSolution(schedule=schedule, length=schedule.length)
@@ -73,9 +74,8 @@ def mlsa(instance: NetworkInstance) -> MlsSolution:
     Raises:
         Infeasible: some user can never transmit.
     """
-    params = instance.params
-    order = sorted(range(1, instance.n_users + 1),
-                   key=lambda i: (s_min(params, instance.user(i)), i))
+    starts = instance.s_mins
+    order = sorted(range(1, instance.n_users + 1), key=lambda i: (starts[i - 1], i))
     return fixed_order_mls(instance, order)
 
 

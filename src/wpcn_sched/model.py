@@ -10,6 +10,7 @@ throughout: watts, hertz, joules, seconds, bits.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -122,7 +123,15 @@ class UserProfile:
 
 @dataclass(frozen=True)
 class NetworkInstance:
-    """One solver input: shared parameters plus users indexed 1..N."""
+    """One solver input: shared parameters plus users indexed 1..N.
+
+    ``rates``, ``harvest_rates``, ``tau_mins`` and ``s_mins`` hold each
+    user's closed form in index order. Each is computed by its public
+    function on first read, so the first user that fails raises, and kept;
+    a failed read keeps nothing. They are not fields: equality, hashing,
+    ``repr`` and :func:`dataclasses.replace` see only ``params`` and
+    ``users``.
+    """
 
     params: SystemParams
     users: tuple[UserProfile, ...]
@@ -141,6 +150,26 @@ class NetworkInstance:
         if not 1 <= index <= len(self.users):
             raise IndexError(f"user index {index} out of range 1..{len(self.users)}")
         return self.users[index - 1]
+
+    @functools.cached_property
+    def rates(self) -> tuple[float, ...]:
+        """:func:`rate` of each user."""
+        return tuple(rate(self.params, u) for u in self.users)
+
+    @functools.cached_property
+    def harvest_rates(self) -> tuple[float, ...]:
+        """:func:`harvest_rate` of each user."""
+        return tuple(harvest_rate(self.params, u) for u in self.users)
+
+    @functools.cached_property
+    def tau_mins(self) -> tuple[float, ...]:
+        """:func:`tau_min` of each user."""
+        return tuple(tau_min(self.params, u) for u in self.users)
+
+    @functools.cached_property
+    def s_mins(self) -> tuple[float, ...]:
+        """:func:`s_min` of each user."""
+        return tuple(s_min(self.params, u) for u in self.users)
 
 
 @dataclass(frozen=True)
@@ -307,11 +336,8 @@ def s_min(params: SystemParams, user: UserProfile) -> float:
     Raises:
         Infeasible: harvest rate is zero and the battery is too small.
     """
-    return _s_min(params, user, tau_min(params, user), harvest_rate(params, user))
-
-
-def _s_min(params: SystemParams, user: UserProfile, t_min: float, c: float) -> float:
-    """:func:`s_min` from the user's ``tau_min`` and harvest rate ``c``."""
+    t_min = tau_min(params, user)
+    c = harvest_rate(params, user)
     e_req = t_min * params.p_max
     if c == 0.0:
         if user.initial_energy >= e_req:
@@ -354,7 +380,7 @@ def validate(instance: NetworkInstance, schedule: Schedule,
     slots: dict[int, Slot] = {}
     expected_start = schedule.tau0
     for slot in schedule.slots:
-        if not 1 <= slot.user <= n:
+        if slot.user not in range(1, n + 1):
             raise MalformedSchedule(f"slot references unknown user {slot.user}")
         if slot.user in slots:
             raise MalformedSchedule(f"user {slot.user} scheduled twice")
@@ -366,6 +392,8 @@ def validate(instance: NetworkInstance, schedule: Schedule,
         expected_start = slot.start + slot.duration
 
     params = instance.params
+    rates = instance.rates
+    harvests = instance.harvest_rates
     energy_ok: dict[int, bool] = {}
     traffic_ok: dict[int, bool] = {}
     throughput = 0.0
@@ -374,8 +402,8 @@ def validate(instance: NetworkInstance, schedule: Schedule,
         slot = slots.get(i)
         dur = 0.0 if slot is None else slot.duration
         energy_ok[i] = slot is None or energy_balance(
-            params, user, harvest_rate(params, user), slot) >= -ENERGY_TOL
-        r = rate(params, user)
+            params, user, harvests[i - 1], slot) >= -ENERGY_TOL
+        r = rates[i - 1]
         throughput += dur * r
         if check_traffic:
             traffic_ok[i] = r * dur >= user.demand_bits - TRAFFIC_TOL

@@ -70,22 +70,22 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
     transmit later. Users whose rate is zero get no airtime. Whatever time
     is left over becomes the leading unallocated interval. A slot that
     replays an ulp short of its energy is shortened (:func:`_replayed`);
-    the laid-out schedule is kept.
+    the laid-out schedule is kept. The rates and harvest rates are the
+    instance's own (``NetworkInstance.rates``, ``harvest_rates``).
     """
     params = instance.params
-    rates = [rate(params, u) for u in instance.users]
+    rates = instance.rates
+    harvests = instance.harvest_rates
     order = sorted(range(1, instance.n_users + 1),
                    key=lambda i: (-rates[i - 1], i))
 
     remaining = FRAME_LENGTH
     granted: list[tuple[int, float]] = []  # rate-descending order
-    harvests = {}
     for i in order:
         if rates[i - 1] == 0.0:
             break  # rate-descending order: nobody left can carry a bit
         user = instance.users[i - 1]
-        harvests[i] = c = harvest_rate(params, user)
-        energy = user.initial_energy + c * remaining
+        energy = user.initial_energy + harvests[i - 1] * remaining
         tau = min(energy / params.p_max, remaining)
         granted.append((i, tau))
         remaining -= tau
@@ -93,7 +93,7 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
             break
 
     pairs = tuple((i, tau) for i, tau in reversed(granted) if tau > 0.0)
-    remaining, pairs, schedule = _replayed(instance, remaining, pairs, harvests)
+    remaining, pairs, schedule = _replayed(instance, remaining, pairs)
     throughput = 0.0   # a left fold: sum() compensates from Python 3.12 on
     for i, tau in reversed(pairs):
         throughput += tau * rates[i - 1]
@@ -102,22 +102,21 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
     return solution
 
 
-def _replayed(instance: NetworkInstance, tau0: float, pairs: tuple[tuple[int, float], ...],
-              harvests: Sequence[float] | dict[int, float]
+def _replayed(instance: NetworkInstance, tau0: float, pairs: tuple[tuple[int, float], ...]
               ) -> tuple[float, tuple[tuple[int, float], ...], Schedule]:
     """``(tau0, pairs, layout(tau0, pairs))`` once every slot replays: a slot
     whose :func:`model.energy_balance` falls below -ENERGY_TOL (an ulp at
     large energies) is shortened by its deficit over p_max, then by one ulp
     toward 0, and the time is given to tau0, which lowers no other balance.
-    ``harvests[user]`` is the user's harvest rate.
     """
     params = instance.params
+    harvests = instance.harvest_rates
     while True:
         schedule = layout(tau0, pairs)
         # validate's energy_balance arithmetic: the cut that each deficit needs
         cuts = {slot.user: -balance / params.p_max for slot in schedule.slots
                 if (balance := energy_balance(params, instance.users[slot.user - 1],
-                                              harvests[slot.user], slot)) < -ENERGY_TOL}
+                                              harvests[slot.user - 1], slot)) < -ENERGY_TOL}
         if not cuts:
             return tau0, pairs, schedule
         kept = []
@@ -142,6 +141,9 @@ def lp_coefficients(instance: NetworkInstance) -> np.ndarray:
     in [0.5, 1) (all zero rates stay as they are), so the LP's absolute
     tolerances see it near 1 whatever the units; only exponents change.
     """
+    # Not the instance's cached closed forms: the benchmark's traced
+    # fixed-order run re-solves instances whose cache its set-up filled, and
+    # must still see rate called.
     params = instance.params
     users = instance.users
     rates = [0.0, *(rate(params, u) for u in users)]
@@ -212,9 +214,10 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
     """Exact oracle: best fixed-order allocation over all transmission orders.
 
     Ties break toward the lexicographically smallest order. Only for small
-    instances. The closed forms are computed once, and every order's LP is
-    gathered from them. Only the winner is laid out; a slot of it that
-    replays an ulp short of its energy is shortened as in :func:`mrsa`. The
+    instances. :func:`lp_coefficients` computes the closed forms once per
+    call, and every order's LP is gathered from them. Only the winner is
+    laid out; a slot of it that replays an ulp short of its energy is
+    shortened as in :func:`mrsa`, with the instance's harvest rates. The
     throughput is summed from the replayed slots as :func:`fixed_order_stm`
     sums it, so an uncut winner keeps its bits.
 
@@ -227,8 +230,7 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
     # fixed_order_stm is looked up per call, so a rebound name is honoured
     best = best_order(instance, functools.partial(fixed_order_stm, coefficients=coefficients),
                       lambda solution: solution.throughput)
-    tau0, pairs, schedule = _replayed(instance, best.tau0, best.pairs,
-                                      (-coefficients[2]).tolist())
+    tau0, pairs, schedule = _replayed(instance, best.tau0, best.pairs)
     rates = coefficients[3].tolist()
     throughput = 0.0   # fixed_order_stm's left fold, in slot order
     for i, tau in pairs:

@@ -8,6 +8,7 @@ import os
 import pathlib
 import re
 import stat
+import sys
 import tempfile
 import threading
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from wpcn_sched import (GenConfig, StmSolution, SystemParams, UserProfile, instance_from_dict,
                         instance_to_dict, mrsa, sample, stm, validate)
 from wpcn_sched import cli as cli_module
+from wpcn_sched import model
 from wpcn_sched.cli import (
     AXES,
     CSV_COLUMNS,
@@ -650,6 +652,33 @@ class TestRateOverflow:
         assert not out.exists()
 
 
+class TestErrorPrecedence:
+    """An instance with two faults, user 1 unable to afford its slot (``s_min``
+    raises Infeasible) and user 3's rate overflowing: each algorithm reports
+    the fault it meets first, mlsa the first user's, the others the rate."""
+
+    OVERFLOW = "error: rate overflows for uplink_gain 1e+308, p_max 0.1, bandwidth 1000000.0\n"
+
+    @pytest.mark.parametrize("problem, alg, code, message", [
+        ("mls", "mlsa", 3, "infeasible: user harvests nothing and battery 0.0 J "
+                           "< required 3.648295297890907e-05 J\n"),
+        ("mls", "pdo", 2, OVERFLOW),
+        ("mls", "opt", 2, OVERFLOW),
+        ("stm", "mrsa", 2, OVERFLOW),
+        ("stm", "opt", 2, OVERFLOW),
+    ])
+    def test_first_fault_is_reported(self, tmp_path, capsys, problem, alg, code, message):
+        payload = json.loads((DATA / "golden_instance.json").read_text())
+        payload["users"][0].update(downlink_gain=5e-324, initial_energy=0.0)
+        payload["users"][2]["uplink_gain"] = 1e308
+        instance_path = write_json(tmp_path / "instance.json", payload)
+        assert main(["solve", "--instance", instance_path,
+                     "--problem", problem, "--alg", alg]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+
 class TestLargeValues:
     """Sweeps whose lengths or demands are far from the studied range still
     end in a finite CSV and exit code 0; solves whose results pass the
@@ -818,6 +847,34 @@ class TestInternalBug:
         assert not validate(sample(config), unaffordable.schedule).ok
         with pytest.raises(RuntimeError, match="solver emitted an infeasible schedule"):
             cli_module.run_trial(config, ("stm",), False)
+
+
+class TestClosedFormsPerTrial:
+    def test_each_closed_form_is_computed_at_most_pinned_times(self, monkeypatch):
+        # The instance keeps each user's closed forms: its rates and harvest
+        # rates once, tau_min once, s_min once, which calls tau_min (and so
+        # rate) and harvest_rate again.
+        n = 10
+        calls = dict.fromkeys(("rate", "harvest_rate", "tau_min", "s_min"), 0)
+        package = [module for name, module in sys.modules.items()
+                   if name == "wpcn_sched" or name.startswith("wpcn_sched.")]
+        for name in calls:
+            original = getattr(model, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            for module in package:   # every binding, ``from .model import`` ones too
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        config = GenConfig(n_users=n, seed=1, battery_max=0.001, min_distance=1.0)
+        record = cli_module.run_trial(config, ("mls", "stm"), False)
+        assert not record["infeasible"]
+        assert calls["rate"] <= 3 * n
+        assert calls["harvest_rate"] <= 2 * n
+        assert calls["tau_min"] <= 2 * n
+        assert calls["s_min"] <= n
 
 
 class TestOutputTarget:

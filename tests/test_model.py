@@ -1,8 +1,11 @@
 """Closed-form physical-layer math and schedule replay checks."""
 
+import copy
 import dataclasses
 import itertools
+import json
 import math
+import pickle
 import re
 
 import pytest
@@ -12,6 +15,7 @@ from wpcn_sched import (
     Infeasible,
     MalformedSchedule,
     NetworkInstance,
+    RateOverflow,
     Schedule,
     Slot,
     SystemParams,
@@ -319,6 +323,57 @@ class TestPerUserQuantities:
             s_min(params, user)
 
 
+class TestInstanceCache:
+    """The per-user closed forms a NetworkInstance keeps are derived data:
+    once filled, the instance compares, hashes, prints, serializes, copies
+    and pickles as a fresh one does."""
+
+    CACHED = ("rates", "harvest_rates", "tau_mins", "s_mins")
+
+    @staticmethod
+    def fresh():
+        return random_instance(seed=3, n_users=5, battery_max=0.001)
+
+    def filled(self):
+        instance = self.fresh()
+        for name in self.CACHED:
+            getattr(instance, name)
+        return instance
+
+    def test_value_semantics_ignore_the_cache(self):
+        filled, fresh = self.filled(), self.fresh()
+        assert set(self.CACHED) <= vars(filled).keys()
+        assert filled == fresh
+        assert hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert (json.dumps(instance_to_dict(filled)).encode()
+                == json.dumps(instance_to_dict(fresh)).encode())
+
+    def test_replace_starts_an_empty_cache(self):
+        filled = self.filled()
+        assert not set(self.CACHED) & vars(dataclasses.replace(filled)).keys()
+        fewer = dataclasses.replace(filled, users=filled.users[:2])
+        assert fewer.rates == tuple(rate(fewer.params, u) for u in fewer.users)
+        assert len(fewer.s_mins) == 2
+
+    @pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)),
+                                            copy.deepcopy])
+    def test_round_trip(self, round_trip):
+        filled, fresh = self.filled(), self.fresh()
+        copied = round_trip(filled)
+        assert copied == fresh and hash(copied) == hash(fresh) and repr(copied) == repr(fresh)
+        for name in self.CACHED:
+            assert getattr(copied, name) == getattr(fresh, name)
+
+    def test_a_failed_read_keeps_nothing(self):
+        instance = NetworkInstance(params=SystemParams(p_h=1.0, p_max=0.1),
+                                   users=(make_user(), make_user(uplink_gain=1e308)))
+        for _ in range(2):
+            with pytest.raises(RateOverflow):
+                instance.rates
+        assert "rates" not in vars(instance)
+
+
 class TestSharedHelpers:
     """The order search, slot layout and JSON type check shared by the solvers."""
 
@@ -472,6 +527,14 @@ class TestValidate:
         instance = NetworkInstance(params=self.params, users=(self.ready,))
         schedule = Schedule(tau0=0.0, slots=(Slot(user=5, start=0.0, duration=1.0),))
         with pytest.raises(MalformedSchedule):
+            validate(instance, schedule)
+
+    def test_malformed_non_integer_user(self):
+        # 1.5 lies between two users but is neither: its slot would go unchecked.
+        instance = NetworkInstance(params=self.params, users=(self.ready, self.late))
+        schedule = Schedule(tau0=0.0, slots=(Slot(user=1.5, start=0.0, duration=0.9),
+                                             Slot(user=2, start=0.9, duration=0.1)))
+        with pytest.raises(MalformedSchedule, match="unknown user 1.5"):
             validate(instance, schedule)
 
     def test_mlsa_output_always_validates(self):

@@ -13,6 +13,7 @@ from wpcn_sched import (
     GenConfig,
     Infeasible,
     NetworkInstance,
+    RateOverflow,
     SystemParams,
     UserProfile,
     brute_force_mls,
@@ -22,7 +23,9 @@ from wpcn_sched import (
     mrsa,
     pdo,
     rate,
+    s_min,
     sample,
+    tau_min,
     validate,
 )
 from wpcn_sched import lp as lp_module
@@ -302,6 +305,31 @@ def test_fixed_order_stm_is_the_same_with_shared_coefficients(data):
     alone = fixed_order_stm(instance, order)
     assert repr(shared) == repr(alone)
     assert repr(shared.schedule) == repr(alone.schedule)
+
+
+def outcome(compute):
+    """The hex of each value ``compute()`` returns, or the type and message it raises."""
+    try:
+        return [value.hex() for value in compute()]
+    except (Infeasible, RateOverflow) as exc:
+        return type(exc), str(exc)
+
+
+# A zero rate (tau_min raises Infeasible) and an infinite one (rate raises).
+@example(NetworkInstance(SystemParams(p_h=1.0, p_max=0.1),
+                         (UserProfile(1e-6, 1e-6), UserProfile(5e-324, 1e-6))))
+@example(NetworkInstance(SystemParams(p_h=1.0, p_max=0.1),
+                         (UserProfile(1e-6, 1e-6), UserProfile(1e308, 1e-6))))
+@given(st.one_of(instances_and_orders().map(lambda data: data[0]),
+                 generated_instances(st.integers(1, 8),
+                                     demand_bits=st.sampled_from([100.0, 1e8, 1e12]))))
+def test_cached_closed_forms_are_the_closed_forms(instance):
+    for name, closed_form in [("rates", rate), ("harvest_rates", harvest_rate),
+                              ("tau_mins", tau_min), ("s_mins", s_min)]:
+        expected = outcome(lambda: [closed_form(instance.params, u) for u in instance.users])
+        event(f"{name}: {'raises' if isinstance(expected, tuple) else 'values'}")
+        assert outcome(lambda: getattr(instance, name)) == expected
+        assert outcome(lambda: getattr(instance, name)) == expected   # kept, or raised again
 
 
 def mls_or_none(solver, instance):
