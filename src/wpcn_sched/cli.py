@@ -132,9 +132,9 @@ def _checked(instance: NetworkInstance, schedule, check_traffic: bool):
     return report
 
 
-def run_trial(config: GenConfig, problems: tuple[str, ...], oracle: bool) -> dict:
-    """Solve one random realization; every schedule is replay-checked."""
-    instance = sample(config)
+def run_trial(instance: NetworkInstance, problems: tuple[str, ...], oracle: bool) -> dict:
+    """Solve one trial's instance for each requested problem; every schedule
+    is replay-checked. The instance is given, not drawn: see :func:`run_sweep`."""
     record: dict = {"infeasible": False}
     if "mls" in problems:
         try:
@@ -176,20 +176,33 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
 def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     """Run the sweep; returns (per-point rows, per-trial raw records).
 
-    Trial t reuses the same derived seed at every axis point, so curves are
-    paired across the axis. Infeasible trials are counted per point and
-    excluded from the length statistics.
+    Trial t meets the same users at every axis point, so curves are paired
+    across the axis. They are drawn once, at the trial's first point, with
+    trial t's derived seed and the config of the point with the most users
+    (the first on a tie). Each point solves its own system over the first
+    ``n_users`` of them: the instance its own config draws with that seed,
+    since an axis sets only ``system``, which ``sample`` never reads, or
+    ``n_users``, and an n-user draw is the first n users of any larger one.
+    Every trial's users are held until the last point, about 250 B each.
+    Points run in ``values`` order, all trials of one before the next.
+    Infeasible trials are counted per point and excluded from the length
+    statistics.
     """
+    widest = max(spec.points, key=lambda config: config.n_users)
+    seeds = [derive_seed(spec.gen.seed, t) for t in range(spec.trials)]
+    users = []   # each trial's, drawn at its first point
     rows = []
     raw = []
     for value, config in zip(spec.values, spec.points):
         trials: list[dict] = []
-        for t in range(spec.trials):
-            trial_config = dataclasses.replace(config, seed=derive_seed(spec.gen.seed, t))
-            record = run_trial(trial_config, spec.problems, spec.oracle)
+        for t, seed in enumerate(seeds):
+            if t == len(users):
+                users.append(sample(dataclasses.replace(widest, seed=seed)).users)
+            instance = NetworkInstance(config.system, users[t][:config.n_users])
+            record = run_trial(instance, spec.problems, spec.oracle)
             trials.append(record)
             raw.append({"axis": spec.axis, "axis_value": value, "trial": t,
-                        "seed": trial_config.seed, **record})
+                        "seed": seed, **record})
 
         row = {"axis_value": value, "trials": spec.trials,
                "infeasible": sum(1 for r in trials if r["infeasible"])}

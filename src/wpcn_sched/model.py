@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -42,8 +43,13 @@ BRUTE_FORCE_LIMIT = 8  # factorial growth; hard cap for the permutation oracles
 
 
 def check_order(order: Sequence[int], n: int) -> None:
-    """Raise ValueError unless ``order`` is a permutation of 1..n."""
-    if sorted(order) != list(range(1, n + 1)):
+    """Raise ValueError unless ``order`` is a permutation of 1..n in integers
+    (numpy ones included)."""
+    try:
+        indices = sorted(map(operator.index, order))
+    except TypeError:   # a float, say
+        indices = None
+    if indices != list(range(1, n + 1)):
         raise ValueError(f"order {order!r} is not a permutation of 1..{n}")
 
 
@@ -174,14 +180,18 @@ class NetworkInstance:
 
 @dataclass(frozen=True)
 class Slot:
-    """One transmission slot: 1-based user index, start time, duration."""
+    """One transmission slot: 1-based integer user index, start time, duration."""
 
     user: int
     start: float
     duration: float
 
     def __post_init__(self) -> None:
-        if self.user < 1:
+        try:
+            user = operator.index(self.user)
+        except TypeError:
+            raise ValueError(f"user index must be an integer, got {self.user!r}") from None
+        if user < 1:
             raise ValueError("user index is 1-based")
         if not math.isfinite(self.start) or not math.isfinite(self.duration):
             raise ValueError("slot times must be finite")

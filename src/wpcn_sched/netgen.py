@@ -135,7 +135,10 @@ def sample(config: GenConfig) -> NetworkInstance:
 
     Per user, in stream order: disc position, uplink shadow/fade, downlink
     shadow/fade, battery. Distances are area-uniform (radius * sqrt(u) with
-    u drawn in (0, 1], so no user lands exactly on the access point).
+    u drawn in (0, 1], so no user lands exactly on the access point). So
+    the users of an n-user draw are the first n of any larger draw with the
+    same settings, and ``system`` is never read: it only goes into the
+    instance. ``cli.run_sweep`` relies on both.
     """
     rng = np.random.default_rng(config.seed)
     inner = config.min_distance ** 2

@@ -33,7 +33,7 @@ from wpcn_sched.cli import (
     write_csv,
     write_jsonl,
 )
-from wpcn_sched.netgen import MAX_USERS
+from wpcn_sched.netgen import MAX_USERS, derive_seed
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -215,7 +215,8 @@ class TestRunSweep:
 
 
 class TestSweepPoints:
-    """Each point's generator config is built once, with the spec."""
+    """Each point's generator config is built once, with the spec, and each
+    trial's draw config once, with the sweep."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -232,15 +233,20 @@ class TestSweepPoints:
     def test_main_builds_the_spec_points_and_trials(self, tmp_path, built):
         spec_path = write_json(tmp_path / "spec.json", base_spec_dict(trials=3, oracle=False))
         assert main(["sweep", "--spec", spec_path, "--out", str(tmp_path / "out.csv")]) == 0
-        assert len(built) == 1 + 2 + 2 * 3   # the spec's gen, its points, one per trial
+        assert len(built) == 1 + 2 + 3   # the spec's gen, its points, one per trial
 
-    def test_run_sweep_builds_only_the_trial_configs(self, built):
+    def test_run_sweep_builds_only_the_trial_configs(self, built, monkeypatch):
         spec = SweepSpec(axis="n_users", values=(2, 3), trials=3, problems=("stm",),
                          gen=GenConfig(n_users=1, seed=7, min_distance=1.0))
+        drawn = []
+        monkeypatch.setattr(cli_module, "sample",
+                            lambda config: drawn.append(config) or sample(config))
         built.clear()
         _, raw = run_sweep(spec)
-        assert len(built) == 2 * 3
-        assert [(c.n_users, c.seed) for c in built] == [(r["axis_value"], r["seed"]) for r in raw]
+        assert len(built) == 3   # one per trial, at the widest point
+        assert drawn == built
+        assert [(c.n_users, c.seed) for c in built] == [(3, r["seed"]) for r in raw[:3]]
+        assert [r["seed"] for r in raw[3:]] == [r["seed"] for r in raw[:3]]
 
     @pytest.mark.parametrize("axis, values, at", [
         ("hap_power", (0.5, 2.0), lambda gen, v: dataclasses.replace(
@@ -256,6 +262,27 @@ class TestSweepPoints:
         twin = SweepSpec(axis=axis, values=list(values), gen=gen)
         assert twin == spec and hash(twin) == hash(spec)
         assert "points" not in repr(spec)
+
+
+class TestTrialUsers:
+    """A sweep draws each trial's users once and lays every point over them."""
+
+    # Unsorted grids; the n_users one repeats a point and goes below the
+    # spec's own n_users.
+    GRIDS = {"hap_power": (2.0, 0.5, 8.0), "user_power": (0.05, 1.0, 0.01),
+             "n_users": (5, 2, 7, 2, 1)}
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_each_point_runs_the_instance_its_config_draws(self, monkeypatch, axis):
+        seen = []
+        monkeypatch.setattr(cli_module, "run_trial",
+                            lambda instance, problems, oracle:
+                            seen.append(instance) or {"infeasible": False})
+        gen = GenConfig(n_users=4, seed=21, battery_max=0.001, min_distance=1.0)
+        spec = SweepSpec(axis=axis, values=self.GRIDS[axis], trials=3, gen=gen)
+        run_sweep(spec)
+        assert seen == [sample(dataclasses.replace(point, seed=derive_seed(gen.seed, t)))
+                        for point in spec.points for t in range(spec.trials)]
 
 
 class TestCsv:
@@ -517,6 +544,14 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert message in captured.err
 
+    # Settings that pass the config checks but draw a link gain out of range.
+    OUT_OF_RANGE_DRAWS = [
+        pytest.param({"shadow_sigma_db": 1e300}, "shadow_sigma_db 1e+300 is out of range",
+                     id="shadow-sigma-db-huge"),
+        pytest.param({"path_loss_exp": 1e300}, "path_loss_exp 1e+300 or",
+                     id="path-loss-exp-huge"),
+    ]
+
     @pytest.mark.parametrize("override, message", [
         pytest.param({"radius": float("inf")}, "must be finite", id="override0"),
         pytest.param({"battery_max": float("nan")}, "must be finite", id="override1"),
@@ -548,10 +583,7 @@ class TestNonFiniteInput:
         pytest.param({"radius": 1e300},
                      "error: bad generator config: radius must be at most 1e+150 m, got 1e+300",
                      id="radius-whose-square-overflows"),
-        pytest.param({"shadow_sigma_db": 1e300}, "shadow_sigma_db 1e+300 is out of range",
-                     id="shadow-sigma-db-huge"),
-        pytest.param({"path_loss_exp": 1e300}, "path_loss_exp 1e+300 or",
-                     id="path-loss-exp-huge"),
+        *OUT_OF_RANGE_DRAWS,
         pytest.param({"system": {"p_h": 1.0, "p_max": 0.1, "noise_density": 0.0,
                                  "self_interference": 0.0}},
                      "error: bad generator config: noise_density * bandwidth",
@@ -564,12 +596,18 @@ class TestNonFiniteInput:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sweep_rejects(self, tmp_path, capsys):
+    @pytest.mark.parametrize("override, message", [
+        pytest.param({"ref_loss_db": float("nan")}, "ref_loss_db must be finite",
+                     id="ref-loss-db-nan"),
+        # drawn from the widest point's config, at the first trial's first point
+        *OUT_OF_RANGE_DRAWS,
+    ])
+    def test_sweep_rejects(self, tmp_path, capsys, override, message):
         spec_path = write_json(tmp_path / "spec.json",
-                               base_spec_dict(gen=base_gen_dict(ref_loss_db=float("nan"))))
+                               base_spec_dict(gen=base_gen_dict(**override)))
         out = tmp_path / "out.csv"
         assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
-        assert "ref_loss_db must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -844,9 +882,10 @@ class TestInternalBug:
         config = GenConfig(n_users=2, seed=1)   # empty batteries
         unaffordable = StmSolution(tau0=0.0, pairs=((1, 1.0),), throughput=1.0)
         monkeypatch.setattr(stm, "mrsa", lambda instance: unaffordable)
-        assert not validate(sample(config), unaffordable.schedule).ok
+        instance = sample(config)
+        assert not validate(instance, unaffordable.schedule).ok
         with pytest.raises(RuntimeError, match="solver emitted an infeasible schedule"):
-            cli_module.run_trial(config, ("stm",), False)
+            cli_module.run_trial(instance, ("stm",), False)
 
 
 class TestClosedFormsPerTrial:
@@ -869,7 +908,7 @@ class TestClosedFormsPerTrial:
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
         config = GenConfig(n_users=n, seed=1, battery_max=0.001, min_distance=1.0)
-        record = cli_module.run_trial(config, ("mls", "stm"), False)
+        record = cli_module.run_trial(sample(config), ("mls", "stm"), False)
         assert not record["infeasible"]
         assert calls["rate"] <= 3 * n
         assert calls["harvest_rate"] <= 2 * n

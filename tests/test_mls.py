@@ -92,6 +92,8 @@ class TestFixedOrder:
             fixed_order_mls(instance, [1, 2])
         with pytest.raises(ValueError):
             fixed_order_mls(instance, [1, 2, 2])
+        with pytest.raises(ValueError):
+            fixed_order_mls(instance, [1.0, 2.0, 3.0])
 
     def test_matches_per_slot_wait_replay(self):
         # independent derivation: walk the order inserting waits user by user

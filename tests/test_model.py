@@ -8,6 +8,7 @@ import math
 import pickle
 import re
 
+import numpy as np
 import pytest
 
 from wpcn_sched import (
@@ -115,6 +116,10 @@ class TestTypes:
     def test_slot_and_schedule_sanity(self):
         with pytest.raises(ValueError):
             Slot(user=0, start=0.0, duration=1.0)
+        for user in (1.5, 1.0):
+            with pytest.raises(ValueError, match=f"user index must be an integer, got {user}"):
+                Slot(user=user, start=0.0, duration=1.0)
+        assert Slot(user=np.int64(2), start=0.0, duration=1.0).user == 2
         with pytest.raises(ValueError):
             Slot(user=1, start=0.0, duration=-1.0)
         for start, duration in [(math.nan, 1.0), (0.0, math.inf)]:
@@ -530,10 +535,12 @@ class TestValidate:
             validate(instance, schedule)
 
     def test_malformed_non_integer_user(self):
-        # 1.5 lies between two users but is neither: its slot would go unchecked.
+        # 1.5 lies between two users but is neither: its slot would go
+        # unchecked. Slot rejects it, so it is set past the constructor.
         instance = NetworkInstance(params=self.params, users=(self.ready, self.late))
-        schedule = Schedule(tau0=0.0, slots=(Slot(user=1.5, start=0.0, duration=0.9),
-                                             Slot(user=2, start=0.9, duration=0.1)))
+        bad = Slot(user=1, start=0.0, duration=0.9)
+        object.__setattr__(bad, "user", 1.5)
+        schedule = Schedule(tau0=0.0, slots=(bad, Slot(user=2, start=0.9, duration=0.1)))
         with pytest.raises(MalformedSchedule, match="unknown user 1.5"):
             validate(instance, schedule)
 

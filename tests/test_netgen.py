@@ -188,6 +188,25 @@ def test_draws_match_numpys_general_calls(config):
          for user in reference.users]
 
 
+@given(gen_configs, st.integers(0, 4), st.floats(0.1, 10.0))
+def test_a_draw_is_a_prefix_of_any_larger_one(config, extra, p_h):
+    # cli.run_sweep draws each trial's users once, at its widest point, and
+    # lays each point's own system over the first n_users of them.
+    def users(config):
+        try:
+            return sample(config).users
+        except GainOutOfRange as exc:
+            event("gain out of range")
+            return str(exc)
+    larger = users(dataclasses.replace(config, n_users=config.n_users + extra,
+                                       system=SystemParams(p_h=p_h, p_max=0.5)))
+    smaller = users(config)
+    if isinstance(larger, tuple):
+        assert smaller == larger[:config.n_users]
+    elif isinstance(smaller, str):   # the same user fails first
+        assert smaller == larger
+
+
 class TestDeriveSeed:
     def test_deterministic_and_distinct(self):
         seeds = [derive_seed(42, k) for k in range(1000)]

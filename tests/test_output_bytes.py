@@ -47,6 +47,13 @@ SWEEPS = {
                   "problems": ["mls", "stm"], "oracle": True},
     "n_users": {"axis": "n_users", "values": [2, 6, 12], "trials": 5,
                 "gen": {**GEN, "seed": 11}, "problems": ["mls", "stm"], "oracle": False},
+    "user_power": {"axis": "user_power", "values": [0.01, 0.1, 1.0], "trials": 3,
+                   "gen": {**GEN, "seed": 13, "battery_max": 0.001},
+                   "problems": ["mls", "stm"], "oracle": True},
+    # Out of order and with a point below the spec's own n_users.
+    "n_users_unsorted": {"axis": "n_users", "values": [12, 2, 6, 1], "trials": 5,
+                         "gen": {**GEN, "seed": 17}, "problems": ["mls", "stm"],
+                         "oracle": False},
 }
 SOLVES = (("mls", "mlsa"), ("mls", "pdo"), ("mls", "opt"), ("stm", "mrsa"), ("stm", "opt"))
 # (n_users, seed) of the large fixed-order allocations, drawn like the
@@ -192,7 +199,9 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", [
     *GENS, "solve_gen_instance.txt",
     "sweep_hap_power.csv", "sweep_hap_power.jsonl",
-    "sweep_n_users.csv", "sweep_n_users.jsonl", "fixed_order_large.txt",
+    "sweep_n_users.csv", "sweep_n_users.jsonl",
+    "sweep_user_power.csv", "sweep_user_power.jsonl",
+    "sweep_n_users_unsorted.csv", "sweep_n_users_unsorted.jsonl", "fixed_order_large.txt",
     "fixed_order_pivoted.txt", "oracle_stm.txt", "oracle_lp_paths.txt",
 ])
 def test_output_matches_pinned_bytes(outputs, name):

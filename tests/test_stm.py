@@ -157,8 +157,10 @@ class TestFixedOrder:
         instance = random_instance(seed=1, n_users=3)
         with pytest.raises(ValueError):
             fixed_order_stm(instance, [1, 2])
+        with pytest.raises(ValueError):
+            fixed_order_stm(instance, [1.0, 2.0, 3.0])
 
-    @pytest.mark.parametrize("order", [[0, 1, 2], [1, 1, 2], [1, 2]])
+    @pytest.mark.parametrize("order", [[0, 1, 2], [1, 1, 2], [1, 2], [1.0, 2.0, 3.0]])
     def test_lp_rejects_non_permutation(self, order):
         instance = random_instance(seed=1, n_users=3)
         with pytest.raises(ValueError):
