@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import (ENERGY_TOL, NetworkInstance, Schedule, best_order, check_order,
-                    energy_balance, layout)
+from .model import NetworkInstance, Schedule, best_order, check_order, layout, shortfalls
 
 
 @dataclass(frozen=True)
@@ -32,15 +31,15 @@ def fixed_order_mls(instance: NetworkInstance, order: Sequence[int]) -> MlsSolut
     All waiting is moved to the front: the leading interval is the smallest
     tau0 such that every user's slot starts at or after its minimum start
     time, i.e. max over users of (s_min - sum of earlier durations), clamped
-    at zero. Slots then sit back-to-back. A balance that replays below
-    -ENERGY_TOL (an ulp at large energies) starts the frame later to cover it.
+    at zero. Slots then sit back-to-back. A user in :func:`model.shortfalls`
+    (an ulp short at large energies) starts the frame later to cover its
+    deficit at its harvest rate.
 
     Raises:
         Infeasible: some user can never transmit (propagated from s_min), or
             the frame would end past the largest double.
     """
     check_order(order, instance.n_users)
-    params = instance.params
     # The instance's closed forms, tau_min read first: every user's tau_min
     # error comes before any user's s_min error.
     durations = instance.tau_mins
@@ -54,12 +53,9 @@ def fixed_order_mls(instance: NetworkInstance, order: Sequence[int]) -> MlsSolut
 
     while True:
         schedule = layout(tau0, ((i, durations[i - 1]) for i in order))
-        # validate's energy_balance arithmetic. Only harvesting users replay a
-        # deficit: s_min checked the others' batteries.
-        delay = max((-balance / harvests[slot.user - 1] for slot in schedule.slots
-                     if (balance := energy_balance(params, instance.users[slot.user - 1],
-                                                   harvests[slot.user - 1], slot)) < -ENERGY_TOL),
-                    default=0.0)
+        # Only harvesting users replay a deficit: s_min checked the others' batteries.
+        delay = max((-balance / harvests[i - 1]
+                     for i, balance in shortfalls(instance, schedule).items()), default=0.0)
         if not delay:
             return MlsSolution(schedule=schedule, length=schedule.length)
         tau0 = math.nextafter(tau0 + delay, math.inf)

@@ -44,12 +44,12 @@ BRUTE_FORCE_LIMIT = 8  # factorial growth; hard cap for the permutation oracles
 
 def check_order(order: Sequence[int], n: int) -> None:
     """Raise ValueError unless ``order`` is a permutation of 1..n in integers
-    (numpy ones included)."""
+    (numpy ones included, bools not)."""
     try:
         indices = sorted(map(operator.index, order))
     except TypeError:   # a float, say
         indices = None
-    if indices != list(range(1, n + 1)):
+    if indices != list(range(1, n + 1)) or bool in map(type, order):
         raise ValueError(f"order {order!r} is not a permutation of 1..{n}")
 
 
@@ -180,7 +180,8 @@ class NetworkInstance:
 
 @dataclass(frozen=True)
 class Slot:
-    """One transmission slot: 1-based integer user index, start time, duration."""
+    """One transmission slot: 1-based integer user index (not a bool), start
+    time, duration."""
 
     user: int
     start: float
@@ -189,8 +190,10 @@ class Slot:
     def __post_init__(self) -> None:
         try:
             user = operator.index(self.user)
-        except TypeError:
-            raise ValueError(f"user index must be an integer, got {self.user!r}") from None
+        except TypeError:   # a float, say
+            user = None
+        if user is None or type(self.user) is bool:
+            raise ValueError(f"user index must be an integer, got {self.user!r}")
         if user < 1:
             raise ValueError("user index is 1-based")
         if not math.isfinite(self.start) or not math.isfinite(self.duration):
@@ -363,21 +366,29 @@ def s_min(params: SystemParams, user: UserProfile) -> float:
     return start
 
 
-def energy_balance(params: SystemParams, user: UserProfile, c: float, slot: Slot) -> float:
-    """Battery left when ``slot`` ends, in joules: the initial energy plus
-    what was harvested by then at the user's harvest rate ``c``, less what
-    the slot spent."""
-    spent = params.p_max * slot.duration
-    return user.initial_energy + c * slot.end - spent
+def shortfalls(instance: NetworkInstance, schedule: Schedule) -> dict[int, float]:
+    """The energy-causality replay: user to battery left when its slot ends,
+    battery + harvest * end - p_max * duration in joules, for each slot (in
+    slot order) whose balance is not >= -ENERGY_TOL, a NaN one included.
+    The harvest rates are the instance's own."""
+    p_max = instance.params.p_max
+    users = instance.users
+    harvests = instance.harvest_rates
+    short = {}
+    for slot in schedule.slots:
+        i = slot.user
+        balance = users[i - 1].initial_energy + harvests[i - 1] * slot.end - p_max * slot.duration
+        if not balance >= -ENERGY_TOL:
+            short[i] = balance
+    return short
 
 
 def validate(instance: NetworkInstance, schedule: Schedule,
              check_traffic: bool = False) -> FeasibilityReport:
     """Replay a schedule and check energy causality (and optionally traffic).
 
-    Energy causality per scheduled user i: its :func:`energy_balance` at
-    the end of its slot, battery_i + harvest_i * (start + dur) - p_max * dur,
-    is >= -ENERGY_TOL.
+    Energy causality: no scheduled user is in :func:`shortfalls`, the same
+    replay that the solvers' repair loops read.
     With ``check_traffic``, every user of the instance must move its demand:
     rate_i * dur_i >= demand_i - TRAFFIC_TOL (zero duration if unscheduled).
     Unscheduled users trivially satisfy energy causality.
@@ -401,9 +412,8 @@ def validate(instance: NetworkInstance, schedule: Schedule,
                 f"expected {expected_start!r}")
         expected_start = slot.start + slot.duration
 
-    params = instance.params
     rates = instance.rates
-    harvests = instance.harvest_rates
+    short = shortfalls(instance, schedule)
     energy_ok: dict[int, bool] = {}
     traffic_ok: dict[int, bool] = {}
     throughput = 0.0
@@ -411,8 +421,7 @@ def validate(instance: NetworkInstance, schedule: Schedule,
         user = instance.users[i - 1]
         slot = slots.get(i)
         dur = 0.0 if slot is None else slot.duration
-        energy_ok[i] = slot is None or energy_balance(
-            params, user, harvests[i - 1], slot) >= -ENERGY_TOL
+        energy_ok[i] = i not in short
         r = rates[i - 1]
         throughput += dur * r
         if check_traffic:

@@ -65,7 +65,7 @@ class GenConfig:
     ref_loss_db: float = 30.0     # path loss at the reference distance [dB]
     path_loss_exp: float = 2.76
     shadow_sigma_db: float = 4.0
-    demand_bits: float = 100.0
+    demand_bits: float = UserProfile.demand_bits
     battery_max: float = 0.0      # initial energy ~ U[0, battery_max] [J]
     fading: bool = True
     min_distance: float = 0.0     # inner placement radius [m]
@@ -90,8 +90,9 @@ class GenConfig:
             raise ValueError("min_distance must lie in [0, radius)")
 
 
-def path_loss_db(distance: float, ref_distance: float = 1.0,
-                 ref_loss_db: float = 30.0, path_loss_exp: float = 2.76,
+def path_loss_db(distance: float, ref_distance: float = GenConfig.ref_distance,
+                 ref_loss_db: float = GenConfig.ref_loss_db,
+                 path_loss_exp: float = GenConfig.path_loss_exp,
                  shadow_db: float = 0.0) -> float:
     """Log-distance path loss in dB, plus an optional shadowing term."""
     return (ref_loss_db

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import lp
-from .model import (BRUTE_FORCE_LIMIT, ENERGY_TOL, NetworkInstance, Schedule, best_order,
-                    check_order, energy_balance, harvest_rate, layout, rate)
+from .model import (BRUTE_FORCE_LIMIT, NetworkInstance, Schedule, best_order, check_order,
+                    harvest_rate, layout, rate, shortfalls)
 
 FRAME_LENGTH = 1.0  # normalized frame; throughput scales linearly with it
 
@@ -68,10 +68,11 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
     counting the energy it will have harvested by the end of that time, and
     is placed at the back of the remaining frame so that higher-rate users
     transmit later. Users whose rate is zero get no airtime. Whatever time
-    is left over becomes the leading unallocated interval. A slot that
-    replays an ulp short of its energy is shortened (:func:`_replayed`);
-    the laid-out schedule is kept. The rates and harvest rates are the
-    instance's own (``NetworkInstance.rates``, ``harvest_rates``).
+    is left over becomes the leading unallocated interval. A slot of a user
+    in :func:`model.shortfalls` (an ulp short of its energy) is shortened
+    (:func:`_replayed`); the laid-out schedule is kept. The rates and
+    harvest rates are the instance's own (``NetworkInstance.rates``,
+    ``harvest_rates``).
     """
     params = instance.params
     rates = instance.rates
@@ -104,19 +105,15 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
 
 def _replayed(instance: NetworkInstance, tau0: float, pairs: tuple[tuple[int, float], ...]
               ) -> tuple[float, tuple[tuple[int, float], ...], Schedule]:
-    """``(tau0, pairs, layout(tau0, pairs))`` once every slot replays: a slot
-    whose :func:`model.energy_balance` falls below -ENERGY_TOL (an ulp at
-    large energies) is shortened by its deficit over p_max, then by one ulp
-    toward 0, and the time is given to tau0, which lowers no other balance.
+    """``(tau0, pairs, layout(tau0, pairs))`` once every slot replays: the
+    slot of a user in :func:`model.shortfalls` (an ulp short at large
+    energies) is shortened by its deficit over p_max, then by one ulp toward
+    0, and the time is given to tau0, which lowers no other balance.
     """
-    params = instance.params
-    harvests = instance.harvest_rates
+    p_max = instance.params.p_max
     while True:
         schedule = layout(tau0, pairs)
-        # validate's energy_balance arithmetic: the cut that each deficit needs
-        cuts = {slot.user: -balance / params.p_max for slot in schedule.slots
-                if (balance := energy_balance(params, instance.users[slot.user - 1],
-                                              harvests[slot.user - 1], slot)) < -ENERGY_TOL}
+        cuts = {i: -balance / p_max for i, balance in shortfalls(instance, schedule).items()}
         if not cuts:
             return tau0, pairs, schedule
         kept = []
@@ -186,6 +183,11 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
                     coefficients: np.ndarray | None = None) -> StmSolution:
     """Optimal time allocation for a fixed transmission order, via the LP
     (``coefficients`` as for :func:`throughput_lp`).
+
+    The LP's vertex is returned as it is, not replayed: at large energies a
+    slot that spends all the user's energy can land an ulp short of it and
+    fail :func:`model.validate`. :func:`brute_force_stm` replays the order
+    it picks; replaying every order would lay out each of its N! LPs.
 
     Raises:
         ValueError: ``order`` is not a permutation of the users.

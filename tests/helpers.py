@@ -15,8 +15,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from wpcn_sched import (GenConfig, NetworkInstance, SystemParams, UserProfile, linear_gain,
-                        path_loss_db, sample)
+from wpcn_sched import (GenConfig, NetworkInstance, Schedule, SystemParams, UserProfile,
+                        harvest_rate, linear_gain, path_loss_db, sample, validate)
+from wpcn_sched import model
 from wpcn_sched.lp import FEASIBILITY_TOL
 
 # -- exact hand-built instances ----------------------------------------------
@@ -284,3 +285,33 @@ def assert_same_fields(problem, twin) -> None:
                     theirs.dtype, theirs.shape, theirs.tobytes()), field.name
             else:
                 assert mine == theirs, field.name
+
+
+# -- the energy replay --------------------------------------------------------
+
+def record_shortfalls(monkeypatch, module) -> list[tuple[Schedule, dict[int, float]]]:
+    """The (schedule, result) of each ``model.shortfalls`` call that
+    ``module`` makes from now on, in call order."""
+    replayed = []
+
+    def recording(instance, schedule):
+        short = model.shortfalls(instance, schedule)
+        replayed.append((schedule, short))
+        return short
+
+    monkeypatch.setattr(module, "shortfalls", recording)
+    return replayed
+
+
+def assert_validate_replay(instance: NetworkInstance, schedule: Schedule,
+                           short: dict[int, float]) -> None:
+    """Each balance in ``short`` is, bit for bit, the one computed from
+    ``harvest_rate``, and ``validate`` fails exactly the users in it."""
+    params = instance.params
+    slots = {slot.user: slot for slot in schedule.slots}
+    for i, balance in short.items():
+        user, slot = instance.user(i), slots[i]
+        assert balance.hex() == (user.initial_energy + harvest_rate(params, user) * slot.end
+                                 - params.p_max * slot.duration).hex()
+    report = validate(instance, schedule)
+    assert [i for i, ok in report.energy_ok.items() if not ok] == sorted(short)

@@ -10,7 +10,6 @@ from wpcn_sched import (
     TooLarge,
     brute_force_mls,
     fixed_order_mls,
-    harvest_rate,
     mlsa,
     pdo,
     s_min,
@@ -19,10 +18,11 @@ from wpcn_sched import (
     validate,
 )
 
-from wpcn_sched import mls, model
-from wpcn_sched.model import ENERGY_TOL, energy_balance, layout
+from wpcn_sched import mls
+from wpcn_sched.model import layout
 
-from helpers import exact_params, exact_user, no_harvest_user, random_instance
+from helpers import (assert_validate_replay, exact_params, exact_user, no_harvest_user,
+                     random_instance, record_shortfalls)
 
 
 @pytest.fixture
@@ -94,6 +94,8 @@ class TestFixedOrder:
             fixed_order_mls(instance, [1, 2, 2])
         with pytest.raises(ValueError):
             fixed_order_mls(instance, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            fixed_order_mls(instance, (True, 2, 3))
 
     def test_matches_per_slot_wait_replay(self):
         # independent derivation: walk the order inserting waits user by user
@@ -206,21 +208,9 @@ class TestRoundOff:
         assert tau0 < solution.schedule.tau0 <= tau0 * (1.0 + 1e-15)
 
     def test_replay_is_the_balance_validate_checks(self, monkeypatch):
-        # fixed_order_mls replays with the harvest rates it computed once;
-        # every balance must be the one validate computes from harvest_rate,
-        # bit for bit, or the frame could start too early for validate.
-        replayed = []
-
-        def recording(params, user, c, slot):
-            balance = model.energy_balance(params, user, c, slot)
-            replayed.append((user, slot, balance))
-            return balance
-
-        monkeypatch.setattr(mls, "energy_balance", recording)
+        # fixed_order_mls repairs with validate's own replay, so the frame
+        # cannot start too early for validate.
+        replayed = record_shortfalls(monkeypatch, mls)
         mlsa(self.instance)
-        params = self.instance.params
-        assert len(replayed) == 2 * self.instance.n_users   # the deficit, then none
-        assert any(balance < -ENERGY_TOL for _, _, balance in replayed)
-        for user, slot, balance in replayed:
-            assert balance.hex() == energy_balance(
-                params, user, harvest_rate(params, user), slot).hex()
+        assert [len(short) for _, short in replayed] == [1, 0]   # the deficit, then none
+        assert_validate_replay(self.instance, *replayed[0])

@@ -116,7 +116,7 @@ class TestTypes:
     def test_slot_and_schedule_sanity(self):
         with pytest.raises(ValueError):
             Slot(user=0, start=0.0, duration=1.0)
-        for user in (1.5, 1.0):
+        for user in (1.5, 1.0, True):
             with pytest.raises(ValueError, match=f"user index must be an integer, got {user}"):
                 Slot(user=user, start=0.0, duration=1.0)
         assert Slot(user=np.int64(2), start=0.0, duration=1.0).user == 2

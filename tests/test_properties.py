@@ -3,6 +3,7 @@ schedulers against their exhaustive oracles."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from wpcn_sched import (
 )
 from wpcn_sched import lp as lp_module
 from wpcn_sched.lp import PIVOT_TOL, LpProblem, LpStatus, NumericalBreakdown, solve
+from wpcn_sched.model import ENERGY_TOL, layout, shortfalls
 from wpcn_sched.stm import FRAME_LENGTH, fixed_order_stm, lp_coefficients, throughput_lp
 
 from helpers import assert_same_fields, dense_staircase, exact_vertex_max
@@ -154,6 +156,55 @@ def test_throughput_lp_is_the_loop_built_lp_byte_for_byte(data):
     assert gathered.constraint_matrix.tobytes() == a.tobytes()
     assert gathered.rhs.tobytes() == b.tobytes()
     assert gathered.tight_start and problem.tight_start
+
+
+@st.composite
+def laid_out_schedules(draw):
+    """An instance and the layout of some of its users in a drawn order. Each
+    slot lasts a drawn time, or the time that leaves, in floats, a drawn
+    balance between -2 ENERGY_TOL and 0 when the slot ends."""
+    instance, order = draw(instances_and_orders())
+    p_max = instance.params.p_max
+    t = tau0 = draw(st.floats(0.0, 1.0))
+    pairs = []
+    for i in order[:draw(st.integers(0, len(order)))]:
+        c = instance.harvest_rates[i - 1]
+        if draw(st.booleans()) and p_max > c:
+            target = draw(st.floats(-2 * ENERGY_TOL, 0.0))
+            duration = (instance.user(i).initial_energy + c * t - target) / (p_max - c)
+        else:
+            duration = draw(st.floats(0.0, 0.1))
+        pairs.append((i, duration))
+        t += duration
+    return instance, layout(tau0, pairs)
+
+
+@given(laid_out_schedules())
+def test_shortfalls_is_the_exact_replay_to_a_few_ulps(data):
+    # Three roundings and a subtraction put the float balance within 3 ulps
+    # of the largest term from the exact balance of the laid-out slot.
+    instance, schedule = data
+    params = instance.params
+    short = shortfalls(instance, schedule)
+    assert set(short) <= {slot.user for slot in schedule.slots}
+    for slot in schedule.slots:
+        user = instance.user(slot.user)
+        c = harvest_rate(params, user)
+        terms = (user.initial_energy, c * slot.end, params.p_max * slot.duration)
+        margin = 4 * math.ulp(max(terms))
+        exact = (Fraction(user.initial_energy) + Fraction(c) * Fraction(slot.end)
+                 - Fraction(params.p_max) * Fraction(slot.duration))
+        excess = exact + Fraction(ENERGY_TOL)
+        if excess < -margin:
+            event("short")
+            assert slot.user in short
+        elif excess > margin:
+            event("not short")
+            assert slot.user not in short
+        else:
+            event("within the margin of -ENERGY_TOL")
+        if slot.user in short:
+            assert abs(Fraction(short[slot.user]) - exact) <= margin
 
 
 def generated_instances(n_users, demand_bits=st.sampled_from([10.0, 100.0, 1000.0]),

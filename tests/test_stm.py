@@ -19,11 +19,12 @@ from wpcn_sched import (
     rate,
     validate,
 )
+from wpcn_sched import stm
 from wpcn_sched.lp import LpSolution, LpStatus
-from wpcn_sched.model import layout
+from wpcn_sched.model import layout, shortfalls
 from wpcn_sched.stm import LpFailure, lp_coefficients, throughput_lp
 
-from helpers import exact_vertex_max, random_instance
+from helpers import assert_validate_replay, exact_vertex_max, random_instance, record_shortfalls
 
 SATURATING_GAIN = 1e9
 GOLDEN_FIXED_ORDER = json.loads(
@@ -159,8 +160,14 @@ class TestFixedOrder:
             fixed_order_stm(instance, [1, 2])
         with pytest.raises(ValueError):
             fixed_order_stm(instance, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            fixed_order_stm(instance, (2, 3, True))
+        numpy_order = np.array([3, 1, 2])   # numpy integers are integers
+        assert (fixed_order_stm(instance, numpy_order).throughput
+                == fixed_order_stm(instance, [3, 1, 2]).throughput)
 
-    @pytest.mark.parametrize("order", [[0, 1, 2], [1, 1, 2], [1, 2], [1.0, 2.0, 3.0]])
+    @pytest.mark.parametrize("order", [[0, 1, 2], [1, 1, 2], [1, 2], [1.0, 2.0, 3.0],
+                                       [True, 2, 3]])
     def test_lp_rejects_non_permutation(self, order):
         instance = random_instance(seed=1, n_users=3)
         with pytest.raises(ValueError):
@@ -265,6 +272,23 @@ class TestBruteForce:
             duration * rate(instance.params, instance.user(user))
             for user, duration in solution.pairs)
         assert solution.throughput >= mrsa(instance).throughput * (1 - 1e-9)
+
+    def test_only_the_fixed_order_vertex_is_left_short(self):
+        # fixed_order_stm returns its LP's vertex unreplayed; both solvers
+        # that return a schedule to print replay theirs.
+        instance = ULP_SHORT
+        assert list(shortfalls(instance, fixed_order_stm(instance, (2, 1)).schedule)) == [2]
+        assert shortfalls(instance, brute_force_stm(instance).schedule) == {}
+        assert shortfalls(instance, mrsa(instance).schedule) == {}
+
+    @pytest.mark.parametrize("solver", [mrsa, brute_force_stm])
+    def test_replay_is_the_balance_validate_checks(self, solver, monkeypatch):
+        # _replayed repairs with validate's own replay, so a slot is never
+        # left short for validate.
+        replayed = record_shortfalls(monkeypatch, stm)
+        solver(ULP_SHORT)
+        assert [len(short) for _, short in replayed] == [1, 0]   # the deficit, then none
+        assert_validate_replay(ULP_SHORT, *replayed[0])
 
     def test_single_user_equals_fixed_order(self):
         instance = single_user_instance(p_max=0.2, harvest=0.1, battery=0.0)
