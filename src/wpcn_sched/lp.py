@@ -5,16 +5,18 @@ A square problem may ask ``solve`` to try its all-tight start first
 (``LpProblem.tight_start``): every structural column basic, so every row is
 tight. One LAPACK solve of A x = b gives that vertex, and A^T y = c its
 duals: by a second LAPACK solve, or, for the throughput LP's staircase
-layout (``LpProblem.staircase``), by an O(m) back substitution. A staircase
-is built by one gather from its vectors, and the input rules run on the
-O(m) values the matrix is made of. The vertex is returned when it is
+layout (:class:`Staircase`), by an O(m) back substitution. A staircase
+table holds the per-variable data of every column order's LP, and the
+input rules run once, on the O(m) values the matrices are made of; each
+order's LP is then one gather from it. The vertex is returned when it is
 nonnegative and no slack's reduced cost -y exceeds FEASIBILITY_TOL, the
 simplex's own optimality test. The STM solver's throughput LPs almost
 always pass (the frame is full and every user spends all it has), where
 the simplex would take one pivot per row. When only
 some duals are negative, each such row's column leaves the basis for the
 row's slack (in a throughput LP, those users get no time) and the result is
-certified once more. Any other failure falls back to the simplex below, so
+certified once more; a staircase prices the dropped columns from its layout
+in O(m). Any other failure falls back to the simplex below, so
 the result never depends on the guess.
 
 The simplex is a one-phase tableau method with Bland's anti-cycling rule
@@ -30,7 +32,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -60,56 +64,40 @@ class LpProblem:
     ``tight_start`` (square ``constraint_matrix`` only) guesses that every
     variable is basic and every row tight at the optimum. ``solve`` tries
     that vertex, or its repair, before pivoting; the flag never changes
-    which problem is solved. A problem built by :meth:`staircase` carries
-    a mark: its objective and lower vector as Python floats, and p_max,
-    from which ``solve`` takes the start's duals by back substitution. The
-    mark is not a field of the constructor, the repr or equality, and
+    which problem is solved. A problem built by :meth:`Staircase.problem`
+    (or :meth:`staircase`) carries a mark: its columns' objective and lower
+    values as Python floats, and p_max, from which ``solve`` takes the
+    start's duals, and its repair's reduced costs, in O(m). The mark is not
+    a field of the constructor, the repr or equality, and
     ``dataclasses.replace`` drops it.
 
-    The fields hold float arrays, the caller's own where they already are.
-    Both constructors raise ValueError, in this order, on wrong dimensions,
-    on a NaN or infinite entry and on a negative rhs entry (-0.0 passes);
-    this one then on ``tight_start`` with a non-square matrix.
+    The fields hold float arrays; this constructor keeps the caller's own
+    where they already are. It and :class:`Staircase` raise ValueError, in
+    this order, on wrong dimensions, on a NaN or infinite entry and on a
+    negative rhs entry (-0.0 passes); this one then on ``tight_start`` with
+    a non-square matrix.
     """
 
     objective: np.ndarray
     constraint_matrix: np.ndarray
     rhs: np.ndarray
     tight_start: bool = False
-    # (objective, lower, p_max) of a staircase as Python floats, set once
-    # by :meth:`staircase`
-    _staircase: tuple[list[float], list[float], float] | None = field(
+    # (objective, lower, p_max) of a staircase's columns as Python floats,
+    # set once by :meth:`Staircase.problem`
+    _staircase: tuple[tuple[float, ...], tuple[float, ...], float] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def staircase(cls, objective: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
                   p_max: float) -> LpProblem:
-        """The square ``tight_start`` LP whose row 0 is all ones and whose row
-        k >= 1 holds lower[k] on and left of the diagonal, with p_max added
-        on the diagonal: the throughput LP of a fixed transmission order,
-        where lower[k] is minus the harvest rate of slot k's user
-        (``lower[0]`` is not used). The three vectors are float arrays.
-
-        The matrix is one gather (:func:`_staircase_index`) from 0, 1, lower
-        and lower + p_max, added as Python floats, whose bytes are those of
-        the dense build. The input rules (:func:`_check_inputs`) run on the
-        O(m) values the matrix is made of, lower[1:] and lower[1:] + p_max
-        (``lower[0]`` is not read). The problem keeps the objective and
-        lower as Python floats, with p_max, as its mark.
+        """The :class:`Staircase` LP of these float vectors in their own
+        column order: ``Staircase(...).problem(range(1, len(lower)))``.
 
         Raises:
             ValueError: as the constructor would for the matrix.
         """
-        c_values, b_values, lower_values = objective.tolist(), rhs.tolist(), lower.tolist()
-        size = len(lower_values)
-        # Python floats: an overflowing diagonal is infinite with no warning
-        diagonal = [e + p_max for e in lower_values]
-        _check_inputs(c_values, (size, size), lower_values[1:] + diagonal[1:], b_values)
-        a = np.array([0.0, 1.0, *lower_values, *diagonal]).take(_staircase_index(size))
-        problem = cls.__new__(cls)
-        vars(problem).update(objective=objective, constraint_matrix=a, rhs=rhs,
-                             tight_start=True, _staircase=(c_values, lower_values, p_max))
-        return problem
+        table = Staircase(objective.tolist(), rhs.tolist(), lower.tolist(), p_max)
+        return table.problem(range(1, lower.size))
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=float)
@@ -125,11 +113,66 @@ class LpProblem:
             raise ValueError(f"tight_start needs a square constraint_matrix, got {a.shape}")
 
 
-def _check_inputs(c: list[float], a_shape: tuple[int, ...], a_entries: list[float],
-                  b: list[float]) -> None:
+class Staircase:
+    """Per-variable data of the square ``tight_start`` LPs of every column
+    order, with the input rules run once: the throughput LPs of one
+    instance, whose transmission orders only move columns.
+
+    In the LP of columns ``(0, *order)`` (:meth:`problem`), the variable j
+    in column k has cost objective[j], and row k has bound rhs[j]; row 0 is
+    all ones, and row k >= 1 holds lower[j] on and left of the diagonal,
+    with p_max added on the diagonal. In a throughput LP, lower[j] is minus
+    user j's harvest rate. Variable 0 (tau0) always comes first, so
+    ``lower[0]`` is never read. The vectors are kept as tuples of Python
+    floats, with the diagonal values lower + p_max (so an overflow is an
+    infinity, not a warning).
+
+    Raises:
+        ValueError: as the :class:`LpProblem` constructor would for any of
+            its LPs, rule for rule: the input rules (:func:`_check_inputs`)
+            run on the O(m) values the matrices are made of, lower[1:] and
+            lower[1:] + p_max.
+    """
+
+    def __init__(self, objective: Sequence[float], rhs: Sequence[float],
+                 lower: Sequence[float], p_max: float) -> None:
+        self.objective, self.rhs, self.lower = tuple(objective), tuple(rhs), tuple(lower)
+        self.diagonal = tuple(e + p_max for e in self.lower)
+        self.p_max = p_max
+        size = len(self.lower)
+        _check_inputs(self.objective, (size, size), self.lower[1:] + self.diagonal[1:], self.rhs)
+
+    def problem(self, order: Sequence[int]) -> LpProblem:
+        """The marked ``tight_start`` LP of columns ``(0, *order)``, where
+        ``order`` is a permutation of 1..m-1 (not checked).
+
+        Its matrix is one gather (:func:`_staircase_index`) from 0, 1 and
+        the columns' lower and diagonal values, with the bytes of the dense
+        build. It runs no input rule: every value it reads was checked
+        once, by the constructor. The problem keeps the columns' objective
+        and lower values, with p_max, as its mark.
+        """
+        columns = (0, *order) if self.objective else ()   # the empty staircase has no tau0
+        size = len(columns)
+        # An itemgetter returns a tuple only for two indices or more.
+        get = (operator.itemgetter(*columns) if size > 1
+               else lambda values: tuple(values[j] for j in columns))
+        c, lower = get(self.objective), get(self.lower)
+        values = np.array([0.0, 1.0, *lower, *get(self.diagonal), *c, *get(self.rhs)])
+        problem = LpProblem.__new__(LpProblem)
+        vars(problem).update(objective=values[2 + 2 * size:2 + 3 * size],
+                             constraint_matrix=values.take(_staircase_index(size)),
+                             rhs=values[2 + 3 * size:], tight_start=True,
+                             _staircase=(c, lower, self.p_max))
+        return problem
+
+
+def _check_inputs(c: Sequence[float], a_shape: tuple[int, ...], a_entries: Sequence[float],
+                  b: Sequence[float]) -> None:
     """The LP's input rules, in order: A is len(b) x len(c) (``a_shape``),
     every entry of c, b and ``a_entries`` (those of A not known to be
-    finite) is finite, and b >= 0 (-0.0 passes).
+    finite) is finite, and b >= 0 (-0.0 passes). The three are lists, or
+    all three tuples.
 
     Raises:
         ValueError: the first rule broken.
@@ -232,10 +275,10 @@ def _staircase_index(size: int) -> np.ndarray:
     return index
 
 
-def _staircase_duals(c: list[float], lower: list[float], p_max: float,
+def _staircase_duals(c: Sequence[float], lower: Sequence[float], p_max: float,
                      kept: range | list[int], frame: bool) -> list[float] | None:
     """y with B^T y = c_B for the basis B of a staircase LP (see
-    :meth:`LpProblem.staircase`) that keeps the LP's columns ``kept`` (in
+    :class:`Staircase`) that keeps the LP's columns ``kept`` (in
     descending order, each >= 1) and column 0 if ``frame``, and has row j's
     slack as every other column j, so y_j = 0 there (c_j is not read);
     ``None`` on a zero pivot, d_j below or u at column 0.
@@ -266,6 +309,26 @@ def _staircase_duals(c: list[float], lower: list[float], p_max: float,
     return y
 
 
+def _staircase_prices_out(c: Sequence[float], lower: Sequence[float], p_max: float,
+                          y: list[float], dropped: list[bool]) -> bool:
+    """Whether each column j of a staircase LP with ``dropped[j]`` has a
+    reduced cost c_j - y.A_j of at most FEASIBILITY_TOL (a NaN fails).
+
+    Column j >= 1 holds 1 in row 0, d_j = p_max + lower[j] on the diagonal
+    and lower[k] in each row k > j; column 0 holds 1 in row 0 and lower[k]
+    in every other row. So y.A_j is y_0 + d_j y_j + T_j, where T_j, the sum
+    of lower[k] y_k over k > j, is accumulated from the last column back.
+    Row 0 makes every column's largest entry at least 1, so the simplex's
+    scaled exit rule (:func:`_hidden`) refuses nothing this test passes.
+    """
+    below = 0.0   # T_j
+    for j in range(len(c) - 1, 0, -1):
+        if dropped[j] and not c[j] - (y[0] + (p_max + lower[j]) * y[j] + below) <= FEASIBILITY_TOL:
+            return False
+        below += lower[j] * y[j]
+    return not dropped[0] or c[0] - (y[0] + below) <= FEASIBILITY_TOL
+
+
 def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     """The vertex of the all-tight start or of its repair, with the path that
     passed the simplex's own optimality test ("certified" or "repaired"),
@@ -275,7 +338,7 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     costs are the slacks' -y: it passes when every entry of x = A^-1 b and
     y = A^-T c is finite (``math.isfinite``, so no NaN reaches a
     comparison), min(x) >= 0 and min(y) >= -FEASIBILITY_TOL. x comes from
-    one LAPACK solve. A staircase (:meth:`LpProblem.staircase`) takes y by
+    one LAPACK solve. A staircase (:class:`Staircase`) takes y by
     :func:`_staircase_duals`, an O(m) back substitution on its mark's floats,
     and only on a zero pivot by a LAPACK solve of A^T y = c; any other
     problem always by that solve, so its results are those of two separate
@@ -283,6 +346,10 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     its column for its slack (basis column e_i, cost 0) and the test runs
     once more, now also on the dropped columns' reduced costs c_j - y.A_j,
     held to FEASIBILITY_TOL and to the simplex's exit rule (:func:`_hidden`).
+    A staircase computes them from its layout in O(m), on its mark's floats
+    (:func:`_staircase_prices_out`), where the exit rule adds nothing; any
+    other problem by dense passes over A. The repaired basis is solved by
+    LAPACK either way, so x keeps its bits.
     The basic columns' reduced costs are zero in exact arithmetic; their
     round-off residue grows with the data's scale, so they are not tested.
     """
@@ -311,9 +378,13 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
         if not all(map(math.isfinite, y)):
             return None
         if path == "repaired":
-            reduced = c - np.array(y) @ a
-            reduced[~dropped] = 0.0
-            if not reduced.max() <= FEASIBILITY_TOL or _hidden(reduced, a).any():
+            if staircase is not None:
+                priced_out = _staircase_prices_out(*staircase, y, flags)
+            else:
+                reduced = c - np.array(y) @ a
+                reduced[~dropped] = 0.0
+                priced_out = reduced.max() <= FEASIBILITY_TOL and not _hidden(reduced, a).any()
+            if not priced_out:
                 return None
             x[dropped] = 0.0   # their slacks are basic in those rows
         if min(y, default=0.0) >= -FEASIBILITY_TOL:

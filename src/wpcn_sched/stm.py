@@ -16,9 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from . import lp
 from .model import (BRUTE_FORCE_LIMIT, NetworkInstance, Schedule, best_order, check_order,
@@ -127,16 +125,24 @@ def _replayed(instance: NetworkInstance, tau0: float, pairs: tuple[tuple[int, fl
         pairs = tuple(reversed(kept))
 
 
-def lp_coefficients(instance: NetworkInstance) -> np.ndarray:
-    """The throughput LP's per-variable data, one column per variable in
-    user-index order after tau0's column 0: the objective (row 0), the
-    right-hand sides, frame length then batteries (row 1), the negated
-    harvest rates (row 2) and the rates (row 3). Every order's LP gathers
-    its columns from here.
+class LpCoefficients(NamedTuple):
+    """The throughput LPs' data of one instance (:func:`lp_coefficients`)."""
+
+    table: lp.Staircase
+    rates: list[float]   # unscaled, indexed by user (0.0 for tau0)
+
+
+def lp_coefficients(instance: NetworkInstance) -> LpCoefficients:
+    """The throughput LP's per-variable data, one entry per variable in
+    user-index order after tau0's entry 0: an :class:`lp.Staircase` of the
+    objective, the right-hand sides (frame length, then batteries) and the
+    negated harvest rates, its input rules run once here, and the unscaled
+    rates. Every order's LP is gathered from the table.
 
     The objective is the rates times the power of two that puts the largest
-    in [0.5, 1) (all zero rates stay as they are), so the LP's absolute
-    tolerances see it near 1 whatever the units; only exponents change.
+    in [0.5, 1) (all zero rates stay as they are), by ``math.ldexp``, whose
+    bits are ``np.ldexp``'s: the LP's absolute tolerances see it near 1
+    whatever the units; only exponents change.
     """
     # Not the instance's cached closed forms: the benchmark's traced
     # fixed-order run re-solves instances whose cache its set-up filled, and
@@ -144,16 +150,15 @@ def lp_coefficients(instance: NetworkInstance) -> np.ndarray:
     params = instance.params
     users = instance.users
     rates = [0.0, *(rate(params, u) for u in users)]
-    coefficients = np.array([rates,
-                             [FRAME_LENGTH, *(u.initial_energy for u in users)],
-                             [0.0, *(-harvest_rate(params, u) for u in users)],
-                             rates])
-    np.ldexp(coefficients[3], -math.frexp(max(rates))[1], out=coefficients[0])
-    return coefficients
+    shift = -math.frexp(max(rates))[1]
+    table = lp.Staircase([math.ldexp(r, shift) for r in rates],
+                         [FRAME_LENGTH, *(u.initial_energy for u in users)],
+                         [0.0, *(-harvest_rate(params, u) for u in users)], params.p_max)
+    return LpCoefficients(table, rates)
 
 
 def throughput_lp(instance: NetworkInstance, order: Sequence[int],
-                  coefficients: np.ndarray | None = None) -> lp.LpProblem:
+                  coefficients: LpCoefficients | None = None) -> lp.LpProblem:
     """Time-allocation LP for a fixed transmission order.
 
     Variables are [tau0, tau_order[0], ..., tau_order[-1]]. Maximize the
@@ -163,11 +168,12 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int],
     of its own slot. Row 0 is the frame budget tau0 + sum tau_i <= frame;
     row k >= 1 spends p_max in its own slot and earns what is harvested
     during tau0 and every slot up to its own: the staircase that
-    :meth:`lp.LpProblem.staircase` lays out, whose start's duals ``lp``
-    takes by back substitution. The tight start guesses the usual optimum:
-    every variable basic, so the frame is full and every user spends all it
-    has. ``coefficients`` is ``lp_coefficients(instance)``, computed here
-    when not given.
+    :class:`lp.Staircase` lays out, whose start's duals ``lp`` takes by
+    back substitution. The tight start guesses the usual optimum: every
+    variable basic, so the frame is full and every user spends all it has.
+    ``coefficients`` is ``lp_coefficients(instance)``, computed here when
+    not given; the LP is its table's problem of ``order``, one gather that
+    runs no input rule.
 
     Raises:
         ValueError: ``order`` is not a permutation of the users.
@@ -175,12 +181,11 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int],
     check_order(order, instance.n_users)
     if coefficients is None:
         coefficients = lp_coefficients(instance)
-    columns = coefficients.take([0, *order], axis=1)
-    return lp.LpProblem.staircase(columns[0], columns[1], columns[2], instance.params.p_max)
+    return coefficients.table.problem(order)
 
 
 def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
-                    coefficients: np.ndarray | None = None) -> StmSolution:
+                    coefficients: LpCoefficients | None = None) -> StmSolution:
     """Optimal time allocation for a fixed transmission order, via the LP
     (``coefficients`` as for :func:`throughput_lp`).
 
@@ -202,7 +207,7 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
         raise LpFailure(f"time-allocation LP came back {solution.status.value}")
 
     x = solution.x.tolist()
-    rates = coefficients[3].tolist()   # unscaled, indexed by user
+    rates = coefficients.rates
     pairs = []
     throughput = 0.0
     for i, d in zip(order, x[1:]):
@@ -216,12 +221,14 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
     """Exact oracle: best fixed-order allocation over all transmission orders.
 
     Ties break toward the lexicographically smallest order. Only for small
-    instances. :func:`lp_coefficients` computes the closed forms once per
-    call, and every order's LP is gathered from them. Only the winner is
+    instances. :func:`lp_coefficients` computes the closed forms and runs
+    the LP input rules once per call, and every order's LP is gathered from
+    its table with no rule run. Only the winner is
     laid out; a slot of it that replays an ulp short of its energy is
     shortened as in :func:`mrsa`, with the instance's harvest rates. The
-    throughput is summed from the replayed slots as :func:`fixed_order_stm`
-    sums it, so an uncut winner keeps its bits.
+    throughput is summed from the replayed slots, with the unscaled rates
+    of the coefficients, as :func:`fixed_order_stm` sums it, so an uncut
+    winner keeps its bits.
 
     Raises:
         TooLarge: more than BRUTE_FORCE_LIMIT users.
@@ -233,7 +240,7 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
     best = best_order(instance, functools.partial(fixed_order_stm, coefficients=coefficients),
                       lambda solution: solution.throughput)
     tau0, pairs, schedule = _replayed(instance, best.tau0, best.pairs)
-    rates = coefficients[3].tolist()
+    rates = coefficients.rates
     throughput = 0.0   # fixed_order_stm's left fold, in slot order
     for i, tau in pairs:
         throughput += tau * rates[i]

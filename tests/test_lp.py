@@ -572,3 +572,31 @@ class TestStaircase:
         assert staircase.x.tolist() == [0.0, 0.5 / 0.9]
         oracle = exact_vertex_max(problem.objective, problem.constraint_matrix, problem.rhs)
         assert staircase.objective_value == pytest.approx(float(oracle), rel=1e-15)
+
+    # The start (1/8, 3/8, 1/2) has negative duals on rows 0 and 2, so their
+    # slacks replace x0 and x2. Then y = (0, 2/3, 0) and x0's reduced cost is
+    # c0 + 1/3. Row 0 ties every staircase column's largest entry to at least
+    # 1: the scaled rule that refuses the dense repair above cannot bind, and
+    # the O(m) test of the marked problem holds a dropped column to
+    # FEASIBILITY_TOL alone.
+    @pytest.mark.parametrize("c0, path", [
+        (-1 / 3 + 5e-10, "repaired"),   # 5e-10 passes: x0 = 0 is within tolerance
+        (-1 / 3 + 2e-9, "pivoted"),     # 2e-9 exceeds FEASIBILITY_TOL
+        (0.0, "pivoted"),               # x0 prices in at 1/3
+    ], ids=["within-tolerance", "past-tolerance", "prices-in"])
+    def test_repair_holds_a_dropped_column_to_the_tolerance(self, c0, path):
+        problem = LpProblem.staircase(np.array([c0, 1.0, -1.0]), np.array([1.0, 0.5, 0.5]),
+                                      np.array([0.0, -0.5, -0.5]), 2.0)
+        a = problem.constraint_matrix
+        assert (np.abs(a).max(axis=0) >= 1.0).all()
+        assert (self.duals(problem, kept=[1], frame=False)
+                == pytest.approx([0.0, 2.0 / 3.0, 0.0], rel=1e-15))
+        staircase, plain = solve(problem), solve(dataclasses.replace(problem))
+        assert (staircase.path, staircase.pivots) == (plain.path, plain.pivots)
+        assert staircase.path == path and (staircase.pivots > 0) == (path == "pivoted")
+        assert staircase.x.tobytes() == plain.x.tobytes()
+        if path == "repaired":
+            assert staircase.x.tolist() == pytest.approx([0.0, 1.0 / 3.0, 0.0], rel=1e-15)
+        else:
+            oracle = exact_vertex_max(problem.objective, a, problem.rhs)
+            assert staircase.objective_value == pytest.approx(float(oracle), rel=1e-15)

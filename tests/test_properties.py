@@ -296,11 +296,13 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 
 @st.composite
 def staircase_vectors(draw):
-    """(objective, rhs, lower, p_max) of any sign and magnitude, -0.0 and
-    overflowing diagonals included, with at most one defect: a NaN or
+    """(objective, rhs, lower, p_max, order) of any sign and magnitude, -0.0
+    and overflowing diagonals included, with at most one defect: a NaN or
     infinity in one entry or in p_max, a negative rhs entry, or one vector
-    of another length. ``lower[0]`` is never read and may be anything."""
+    of another length. ``lower[0]`` is never read and may be anything;
+    ``order`` is a permutation of 1..size-1."""
     size = draw(st.integers(0, 40))
+    order = draw(st.permutations(range(1, size)))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     vectors = {
         "objective": draw(st.lists(finite, min_size=size, max_size=size)),
@@ -328,25 +330,40 @@ def staircase_vectors(draw):
         else:
             vector.append(draw(finite))
     return (*(np.array(vectors[name], dtype=float) for name in ("objective", "rhs", "lower")),
-            p_max)
+            p_max, order)
 
 
-# The diagonal 1e308 + 1e308 overflows.
-@example((np.zeros(2), np.ones(2), np.array([0.0, 1e308]), 1e308))
+# The diagonal 1e308 + 1e308 overflows; the empty staircase is the empty LP.
+@example((np.zeros(2), np.ones(2), np.array([0.0, 1e308]), 1e308, [1]))
+@example((np.zeros(0), np.zeros(0), np.zeros(0), 0.5, []))
 @settings(max_examples=300)
 @given(staircase_vectors())
 def test_staircase_is_the_dense_build(data):
-    objective, rhs, lower, p_max = data
-    try:
-        reference = LpProblem(objective, dense_staircase(lower, p_max), rhs, tight_start=True)
-    except ValueError as error:
-        event("refused")
-        with pytest.raises(ValueError) as raised:
-            LpProblem.staircase(objective, rhs, lower, p_max)
-        assert str(raised.value) == str(error)
-        return
-    problem = LpProblem.staircase(objective, rhs, lower, p_max)
-    assert_same_fields(problem, reference)
+    # Both the vectors' own column order and a table's problem of ``order``
+    # are their dense build, refusals included: a table is refused, with
+    # the same message, exactly when the dense build of its permuted
+    # vectors is.
+    objective, rhs, lower, p_max, order = data
+    vectors = objective, rhs, lower
+    columns = [0, *order][:lower.size]   # the empty staircase has no tau0
+    permuted = vectors
+    if {v.size for v in vectors} == {len(columns)}:   # else refused whatever the order
+        permuted = tuple(v[columns] for v in vectors)
+    builds = [
+        (vectors, lambda: LpProblem.staircase(objective, rhs, lower, p_max)),
+        (permuted, lambda: lp_module.Staircase(objective.tolist(), rhs.tolist(), lower.tolist(),
+                                               p_max).problem(order)),
+    ]
+    for (c, b, low), build in builds:
+        try:
+            reference = LpProblem(c, dense_staircase(low, p_max), b, tight_start=True)
+        except ValueError as error:
+            event("refused")
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == str(error)
+            continue
+        assert_same_fields(build(), reference)
 
 
 @given(generated_instances_and_orders())

@@ -19,7 +19,7 @@ from wpcn_sched import (
     rate,
     validate,
 )
-from wpcn_sched import stm
+from wpcn_sched import lp, stm
 from wpcn_sched.lp import LpSolution, LpStatus
 from wpcn_sched.model import layout, shortfalls
 from wpcn_sched.stm import LpFailure, lp_coefficients, throughput_lp
@@ -175,6 +175,28 @@ class TestFixedOrder:
         with pytest.raises(ValueError):
             throughput_lp(instance, order, lp_coefficients(instance))
 
+    # Rates near 7e-12 bits/s, and near 1e301 bits/s (a 1e300 Hz band): each
+    # scales by a power of two alone, the largest into [0.5, 1).
+    @pytest.mark.parametrize("params, users, objective", [
+        (SystemParams(p_h=1.0, p_max=0.01, bandwidth=1e-12, noise_density=1e-20),
+         ((1e-3, 0.01), (2e-3, 0.004), (5e-4, 0.02)),
+         ["0x0.0p+0", "0x1.d487accd804ffp-2", "0x1.0d328c0e240c3p-1", "0x1.8f2954a3e06bbp-2"]),
+        (SystemParams(p_h=1.0, p_max=0.1, bandwidth=1e300, noise_density=0.0),
+         ((1.0, 0.0), (1e-12, 0.0), (3e-6, 0.0)),
+         ["0x0.0p+0", "0x1.dc3231ecada03p-1", "0x1.2123e62aad7d7p-24", "0x1.7e43c8800759cp-4"]),
+    ], ids=["tiny-rates", "huge-rates"])
+    def test_scaled_objective_is_pinned(self, params, users, objective):
+        instance = NetworkInstance(params, tuple(
+            UserProfile(uplink_gain=up, downlink_gain=1e-3, initial_energy=battery)
+            for up, battery in users))
+        coefficients = lp_coefficients(instance)
+        rates = [0.0, *(rate(params, u) for u in instance.users)]
+        assert coefficients.rates == rates
+        assert [value.hex() for value in coefficients.table.objective] == objective
+        problem = throughput_lp(instance, [3, 1, 2], coefficients)
+        assert [value.hex() for value in problem.objective.tolist()] == [
+            objective[j] for j in (0, 3, 1, 2)]
+
     def test_lp_failure_is_surfaced(self, monkeypatch):
         instance = random_instance(seed=2, n_users=2)
         from wpcn_sched import stm as stm_module
@@ -242,6 +264,27 @@ class TestBruteForce:
             monkeypatch.setattr(stm_module, name, counted(name, getattr(stm_module, name)))
         brute_force_stm(random_instance(seed=4, n_users=5, battery_max=0.001))
         assert calls == {"rate": 5, "harvest_rate": 5}
+
+    def test_lp_input_rules_run_once_per_call(self, monkeypatch):
+        # The rules run when lp_coefficients builds its table; every order's
+        # LP is a gather from it.
+        runs = []
+
+        def counted(*args):
+            runs.append(args)
+            return check(*args)
+
+        check = lp._check_inputs
+        monkeypatch.setattr(lp, "_check_inputs", counted)
+        instance = random_instance(seed=4, n_users=6, battery_max=0.001)
+        brute_force_stm(instance)
+        assert len(runs) == 1
+        for calls in (1, 2):
+            fixed_order_stm(instance, [3, 1, 4, 6, 5, 2])
+            assert len(runs) == 1 + calls
+        coefficients = lp_coefficients(instance)
+        fixed_order_stm(instance, [3, 1, 4, 6, 5, 2], coefficients)
+        assert len(runs) == 4
 
     def test_only_the_winner_is_laid_out(self, monkeypatch):
         from wpcn_sched import stm as stm_module
