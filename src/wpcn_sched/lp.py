@@ -65,11 +65,11 @@ class LpProblem:
     variable is basic and every row tight at the optimum. ``solve`` tries
     that vertex, or its repair, before pivoting; the flag never changes
     which problem is solved. A problem built by :meth:`Staircase.problem`
-    (or :meth:`staircase`) carries a mark: its columns' objective and lower
-    values as Python floats, and p_max, from which ``solve`` takes the
-    start's duals, and its repair's reduced costs, in O(m). The mark is not
-    a field of the constructor, the repr or equality, and
-    ``dataclasses.replace`` drops it.
+    carries a mark: its columns' objective, lower and diagonal values as
+    Python floats, from which ``solve`` takes the start's duals, and its
+    repair's reduced costs, in O(m). The mark is not a field of the
+    constructor, the repr or equality, and ``dataclasses.replace`` drops
+    it.
 
     The fields hold float arrays; this constructor keeps the caller's own
     where they already are. It and :class:`Staircase` raise ValueError, in
@@ -82,22 +82,10 @@ class LpProblem:
     constraint_matrix: np.ndarray
     rhs: np.ndarray
     tight_start: bool = False
-    # (objective, lower, p_max) of a staircase's columns as Python floats,
-    # set once by :meth:`Staircase.problem`
-    _staircase: tuple[tuple[float, ...], tuple[float, ...], float] | None = field(
+    # (objective, lower, diagonal) of a staircase's columns as Python
+    # floats, set once by :meth:`Staircase.problem`
+    _staircase: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
-
-    @classmethod
-    def staircase(cls, objective: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
-                  p_max: float) -> LpProblem:
-        """The :class:`Staircase` LP of these float vectors in their own
-        column order: ``Staircase(...).problem(range(1, len(lower)))``.
-
-        Raises:
-            ValueError: as the constructor would for the matrix.
-        """
-        table = Staircase(objective.tolist(), rhs.tolist(), lower.tolist(), p_max)
-        return table.problem(range(1, lower.size))
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=float)
@@ -138,7 +126,6 @@ class Staircase:
                  lower: Sequence[float], p_max: float) -> None:
         self.objective, self.rhs, self.lower = tuple(objective), tuple(rhs), tuple(lower)
         self.diagonal = tuple(e + p_max for e in self.lower)
-        self.p_max = p_max
         size = len(self.lower)
         _check_inputs(self.objective, (size, size), self.lower[1:] + self.diagonal[1:], self.rhs)
 
@@ -149,21 +136,22 @@ class Staircase:
         Its matrix is one gather (:func:`_staircase_index`) from 0, 1 and
         the columns' lower and diagonal values, with the bytes of the dense
         build. It runs no input rule: every value it reads was checked
-        once, by the constructor. The problem keeps the columns' objective
-        and lower values, with p_max, as its mark.
+        once, by the constructor. The problem keeps the columns' objective,
+        lower and diagonal values as its mark. A square LP in the vectors'
+        own order is ``problem(range(1, m))``.
         """
         columns = (0, *order) if self.objective else ()   # the empty staircase has no tau0
         size = len(columns)
         # An itemgetter returns a tuple only for two indices or more.
         get = (operator.itemgetter(*columns) if size > 1
                else lambda values: tuple(values[j] for j in columns))
-        c, lower = get(self.objective), get(self.lower)
-        values = np.array([0.0, 1.0, *lower, *get(self.diagonal), *c, *get(self.rhs)])
+        c, lower, diagonal = get(self.objective), get(self.lower), get(self.diagonal)
+        values = np.array([0.0, 1.0, *lower, *diagonal, *c, *get(self.rhs)])
         problem = LpProblem.__new__(LpProblem)
         vars(problem).update(objective=values[2 + 2 * size:2 + 3 * size],
                              constraint_matrix=values.take(_staircase_index(size)),
                              rhs=values[2 + 3 * size:], tight_start=True,
-                             _staircase=(c, lower, self.p_max))
+                             _staircase=(c, lower, diagonal))
         return problem
 
 
@@ -275,7 +263,7 @@ def _staircase_index(size: int) -> np.ndarray:
     return index
 
 
-def _staircase_duals(c: Sequence[float], lower: Sequence[float], p_max: float,
+def _staircase_duals(c: Sequence[float], lower: Sequence[float], diagonal: Sequence[float],
                      kept: range | list[int], frame: bool) -> list[float] | None:
     """y with B^T y = c_B for the basis B of a staircase LP (see
     :class:`Staircase`) that keeps the LP's columns ``kept`` (in
@@ -284,7 +272,7 @@ def _staircase_duals(c: Sequence[float], lower: Sequence[float], p_max: float,
     ``None`` on a zero pivot, d_j below or u at column 0.
 
     Let S_j = y_0 + sum over kept k > j of lower[k] y_k. Column j >= 1 reads
-    S_j + d_j y_j = c_j, where d_j = p_max + lower[j] is the diagonal entry,
+    S_j + d_j y_j = c_j, where d_j = diagonal[j] is the diagonal entry,
     and column 0 reads S_0 = c_0. From the last column back, S_j = sigma +
     u y_0 is affine in y_0, and so is each y_j = alpha_j - beta_j y_0;
     column 0 then fixes y_0.
@@ -294,8 +282,7 @@ def _staircase_duals(c: Sequence[float], lower: Sequence[float], p_max: float,
     sigma, u = 0.0, 1.0
     try:
         for j in kept:
-            e = lower[j]
-            pivot = p_max + e
+            e, pivot = lower[j], diagonal[j]
             alphas[j] = alpha = (c[j] - sigma) / pivot
             betas[j] = beta = u / pivot
             sigma += e * alpha
@@ -309,12 +296,12 @@ def _staircase_duals(c: Sequence[float], lower: Sequence[float], p_max: float,
     return y
 
 
-def _staircase_prices_out(c: Sequence[float], lower: Sequence[float], p_max: float,
-                          y: list[float], dropped: list[bool]) -> bool:
+def _staircase_prices_out(c: Sequence[float], lower: Sequence[float],
+                          diagonal: Sequence[float], y: list[float], dropped: list[bool]) -> bool:
     """Whether each column j of a staircase LP with ``dropped[j]`` has a
     reduced cost c_j - y.A_j of at most FEASIBILITY_TOL (a NaN fails).
 
-    Column j >= 1 holds 1 in row 0, d_j = p_max + lower[j] on the diagonal
+    Column j >= 1 holds 1 in row 0, d_j = diagonal[j] on the diagonal
     and lower[k] in each row k > j; column 0 holds 1 in row 0 and lower[k]
     in every other row. So y.A_j is y_0 + d_j y_j + T_j, where T_j, the sum
     of lower[k] y_k over k > j, is accumulated from the last column back.
@@ -323,7 +310,7 @@ def _staircase_prices_out(c: Sequence[float], lower: Sequence[float], p_max: flo
     """
     below = 0.0   # T_j
     for j in range(len(c) - 1, 0, -1):
-        if dropped[j] and not c[j] - (y[0] + (p_max + lower[j]) * y[j] + below) <= FEASIBILITY_TOL:
+        if dropped[j] and not c[j] - (y[0] + diagonal[j] * y[j] + below) <= FEASIBILITY_TOL:
             return False
         below += lower[j] * y[j]
     return not dropped[0] or c[0] - (y[0] + below) <= FEASIBILITY_TOL

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import lp
 from .model import (BRUTE_FORCE_LIMIT, NetworkInstance, Schedule, best_order, check_order,
@@ -125,19 +125,12 @@ def _replayed(instance: NetworkInstance, tau0: float, pairs: tuple[tuple[int, fl
         pairs = tuple(reversed(kept))
 
 
-class LpCoefficients(NamedTuple):
-    """The throughput LPs' data of one instance (:func:`lp_coefficients`)."""
-
-    table: lp.Staircase
-    rates: list[float]   # unscaled, indexed by user (0.0 for tau0)
-
-
-def lp_coefficients(instance: NetworkInstance) -> LpCoefficients:
+def lp_coefficients(instance: NetworkInstance) -> lp.Staircase:
     """The throughput LP's per-variable data, one entry per variable in
     user-index order after tau0's entry 0: an :class:`lp.Staircase` of the
     objective, the right-hand sides (frame length, then batteries) and the
-    negated harvest rates, its input rules run once here, and the unscaled
-    rates. Every order's LP is gathered from the table.
+    negated harvest rates, its input rules run once here. Every order's LP
+    is gathered from it.
 
     The objective is the rates times the power of two that puts the largest
     in [0.5, 1) (all zero rates stay as they are), by ``math.ldexp``, whose
@@ -151,14 +144,13 @@ def lp_coefficients(instance: NetworkInstance) -> LpCoefficients:
     users = instance.users
     rates = [0.0, *(rate(params, u) for u in users)]
     shift = -math.frexp(max(rates))[1]
-    table = lp.Staircase([math.ldexp(r, shift) for r in rates],
-                         [FRAME_LENGTH, *(u.initial_energy for u in users)],
-                         [0.0, *(-harvest_rate(params, u) for u in users)], params.p_max)
-    return LpCoefficients(table, rates)
+    return lp.Staircase([math.ldexp(r, shift) for r in rates],
+                        [FRAME_LENGTH, *(u.initial_energy for u in users)],
+                        [0.0, *(-harvest_rate(params, u) for u in users)], params.p_max)
 
 
 def throughput_lp(instance: NetworkInstance, order: Sequence[int],
-                  coefficients: LpCoefficients | None = None) -> lp.LpProblem:
+                  table: lp.Staircase | None = None) -> lp.LpProblem:
     """Time-allocation LP for a fixed transmission order.
 
     Variables are [tau0, tau_order[0], ..., tau_order[-1]]. Maximize the
@@ -171,23 +163,26 @@ def throughput_lp(instance: NetworkInstance, order: Sequence[int],
     :class:`lp.Staircase` lays out, whose start's duals ``lp`` takes by
     back substitution. The tight start guesses the usual optimum: every
     variable basic, so the frame is full and every user spends all it has.
-    ``coefficients`` is ``lp_coefficients(instance)``, computed here when
-    not given; the LP is its table's problem of ``order``, one gather that
-    runs no input rule.
+    ``table`` is ``lp_coefficients(instance)``, computed here when not
+    given; the LP is its problem of ``order``, one gather that runs no
+    input rule.
 
     Raises:
         ValueError: ``order`` is not a permutation of the users.
     """
     check_order(order, instance.n_users)
-    if coefficients is None:
-        coefficients = lp_coefficients(instance)
-    return coefficients.table.problem(order)
+    if table is None:
+        table = lp_coefficients(instance)
+    return table.problem(order)
 
 
 def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
-                    coefficients: LpCoefficients | None = None) -> StmSolution:
+                    table: lp.Staircase | None = None) -> StmSolution:
     """Optimal time allocation for a fixed transmission order, via the LP
-    (``coefficients`` as for :func:`throughput_lp`).
+    (``table`` as for :func:`throughput_lp`). The throughput is summed in
+    slot order from the instance's rates (``NetworkInstance.rates``), so on
+    a fresh instance this also computes them: N :func:`model.rate` calls,
+    which :func:`model.validate` would make anyway.
 
     The LP's vertex is returned as it is, not replayed: at large energies a
     slot that spends all the user's energy can land an ulp short of it and
@@ -200,20 +195,18 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
             allocation is always feasible, so this indicates a solver
             problem and is never absorbed).
     """
-    if coefficients is None:
-        coefficients = lp_coefficients(instance)
-    solution = lp.solve(throughput_lp(instance, order, coefficients))
+    solution = lp.solve(throughput_lp(instance, order, table))
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise LpFailure(f"time-allocation LP came back {solution.status.value}")
 
     x = solution.x.tolist()
-    rates = coefficients.rates
+    rates = instance.rates
     pairs = []
     throughput = 0.0
     for i, d in zip(order, x[1:]):
         if d > 0.0:
             pairs.append((i, d))
-            throughput += d * rates[i]
+            throughput += d * rates[i - 1]
     return StmSolution(max(0.0, x[0]), tuple(pairs), throughput)
 
 
@@ -226,24 +219,25 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
     its table with no rule run. Only the winner is
     laid out; a slot of it that replays an ulp short of its energy is
     shortened as in :func:`mrsa`, with the instance's harvest rates. The
-    throughput is summed from the replayed slots, with the unscaled rates
-    of the coefficients, as :func:`fixed_order_stm` sums it, so an uncut
-    winner keeps its bits.
+    throughput is summed from the replayed slots, with the instance's rates
+    (``NetworkInstance.rates``, N :func:`model.rate` calls on a fresh
+    instance), as :func:`fixed_order_stm` sums it, so an uncut winner keeps
+    its bits.
 
     Raises:
         TooLarge: more than BRUTE_FORCE_LIMIT users.
     """
-    coefficients = None   # best_order raises TooLarge before any order is solved
+    table = None   # best_order raises TooLarge before any order is solved
     if instance.n_users <= BRUTE_FORCE_LIMIT:
-        coefficients = lp_coefficients(instance)
+        table = lp_coefficients(instance)
     # fixed_order_stm is looked up per call, so a rebound name is honoured
-    best = best_order(instance, functools.partial(fixed_order_stm, coefficients=coefficients),
+    best = best_order(instance, functools.partial(fixed_order_stm, table=table),
                       lambda solution: solution.throughput)
     tau0, pairs, schedule = _replayed(instance, best.tau0, best.pairs)
-    rates = coefficients.rates
+    rates = instance.rates
     throughput = 0.0   # fixed_order_stm's left fold, in slot order
     for i, tau in pairs:
-        throughput += tau * rates[i]
+        throughput += tau * rates[i - 1]
     solution = StmSolution(tau0, pairs, throughput)
     object.__setattr__(solution, "schedule", schedule)   # the property's own value
     return solution

@@ -18,7 +18,7 @@ import numpy as np
 from wpcn_sched import (GenConfig, NetworkInstance, Schedule, SystemParams, UserProfile,
                         harvest_rate, linear_gain, path_loss_db, sample, validate)
 from wpcn_sched import model
-from wpcn_sched.lp import FEASIBILITY_TOL
+from wpcn_sched.lp import FEASIBILITY_TOL, LpProblem, Staircase
 
 # -- exact hand-built instances ----------------------------------------------
 # With bandwidth 2^20 Hz, noise density 2^-20 W/Hz and no self-interference,
@@ -260,8 +260,20 @@ def two_solve_certificate(problem) -> tuple[np.ndarray, str] | None:
         basic_costs[dropped] = 0.0
 
 
+def staircase_problem(objective: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
+                      p_max: float) -> LpProblem:
+    """The marked ``lp.Staircase`` LP of these float vectors in their own
+    column order, ``Staircase(...).problem(range(1, m))``.
+
+    Raises:
+        ValueError: as the ``LpProblem`` constructor would for the matrix.
+    """
+    table = Staircase(objective.tolist(), rhs.tolist(), lower.tolist(), p_max)
+    return table.problem(range(1, lower.size))
+
+
 def dense_staircase(lower: np.ndarray, p_max: float) -> np.ndarray:
-    """The matrix of ``LpProblem.staircase`` built densely, the reference
+    """The matrix of :func:`staircase_problem` built densely, the reference
     its gather must match byte for byte: ``lower`` on and left of the
     diagonal, row 0 overwritten by ones, then p_max added on the diagonal
     below row 0. An overflowing or invalid add leaves its inf or NaN

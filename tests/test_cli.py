@@ -889,11 +889,15 @@ class TestInternalBug:
 
 
 class TestClosedFormsPerTrial:
-    def test_each_closed_form_is_computed_at_most_pinned_times(self, monkeypatch):
-        # The instance keeps each user's closed forms: its rates and harvest
-        # rates once, tau_min once, s_min once, which calls tau_min (and so
-        # rate) and harvest_rate again.
-        n = 10
+    """The instance keeps each user's closed forms: its rates and harvest
+    rates once, tau_min once, s_min once, which calls tau_min (and so rate)
+    and harvest_rate again. The oracle's ``lp_coefficients`` computes its
+    own rate and harvest rate once more per user."""
+
+    @staticmethod
+    def calls_per_trial(monkeypatch, n: int, oracle: bool) -> list[int]:
+        """The calls of rate, harvest_rate, tau_min and s_min made by one
+        sweep trial of ``n`` users."""
         calls = dict.fromkeys(("rate", "harvest_rate", "tau_min", "s_min"), 0)
         package = [module for name, module in sys.modules.items()
                    if name == "wpcn_sched" or name.startswith("wpcn_sched.")]
@@ -908,12 +912,26 @@ class TestClosedFormsPerTrial:
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
         config = GenConfig(n_users=n, seed=1, battery_max=0.001, min_distance=1.0)
-        record = cli_module.run_trial(sample(config), ("mls", "stm"), False)
+        record = cli_module.run_trial(sample(config), ("mls", "stm"), oracle)
         assert not record["infeasible"]
-        assert calls["rate"] <= 3 * n
-        assert calls["harvest_rate"] <= 2 * n
-        assert calls["tau_min"] <= 2 * n
-        assert calls["s_min"] <= n
+        assert ("opt_throughput" in record) == oracle
+        return list(calls.values())
+
+    def test_each_closed_form_is_computed_at_most_pinned_times(self, monkeypatch):
+        n = 10
+        rate, harvest, tau, start = self.calls_per_trial(monkeypatch, n, oracle=False)
+        assert rate <= 3 * n
+        assert harvest <= 2 * n
+        assert tau <= 2 * n
+        assert start <= n
+
+    def test_the_oracle_adds_one_rate_and_harvest_rate_per_user(self, monkeypatch):
+        n = 6
+        rate, harvest, tau, start = self.calls_per_trial(monkeypatch, n, oracle=True)
+        assert rate <= 4 * n
+        assert harvest <= 3 * n
+        assert tau <= 2 * n
+        assert start <= n
 
 
 class TestOutputTarget:

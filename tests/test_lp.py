@@ -17,7 +17,7 @@ from wpcn_sched.lp import (
 from wpcn_sched.stm import throughput_lp
 
 from helpers import (assert_same_fields, dense_staircase, exact_vertex_max, random_instance,
-                     two_solve_certificate)
+                     staircase_problem, two_solve_certificate)
 
 
 def lp(c, a, b, tight_start=False) -> LpProblem:
@@ -90,7 +90,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=message) as general:
             LpProblem(c, dense_staircase(low, 0.5), b, tight_start=True)
         with pytest.raises(ValueError, match=message) as staircase:
-            LpProblem.staircase(c, b, low, 0.5)
+            staircase_problem(c, b, low, 0.5)
         assert str(staircase.value) == str(general.value)
 
     def test_negative_zero_rhs_is_zero(self):
@@ -505,12 +505,13 @@ class TestCertifiedStart:
 
 
 class TestStaircase:
-    """``LpProblem.staircase``: the throughput LP's layout, whose start's
-    duals ``solve`` takes by back substitution."""
+    """``lp.Staircase``'s problems (``staircase_problem``, the identity
+    order): the throughput LP's layout, whose start's duals ``solve`` takes
+    by back substitution."""
 
     def test_layout_and_mark(self):
-        problem = LpProblem.staircase(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]),
-                                      np.array([7.0, -0.125, -0.25]), 0.5)
+        problem = staircase_problem(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]),
+                                    np.array([7.0, -0.125, -0.25]), 0.5)
         assert problem.constraint_matrix.tolist() == [[1.0, 1.0, 1.0],
                                                       [-0.125, 0.375, 0.0],
                                                       [-0.25, -0.25, 0.25]]
@@ -523,6 +524,10 @@ class TestStaircase:
         assert repr(problem) == repr(plain)
         assert problem._staircase is not None
         assert plain._staircase is None
+        # The mark's diagonal values are the matrix's below row 0, bit for bit.
+        diagonal = problem._staircase[2]
+        assert [v.hex() for v in diagonal[1:]] == [
+            v.hex() for v in problem.constraint_matrix.diagonal()[1:].tolist()]
         assert dataclasses.replace(problem)._staircase is None
         # The staircase skips the constructor: each compared field, including
         # one added later, must still be what the constructor would make.
@@ -530,7 +535,7 @@ class TestStaircase:
 
     def test_empty_staircase_is_the_empty_lp(self):
         empty = np.zeros(0)
-        problem = LpProblem.staircase(empty, empty, empty, 0.5)
+        problem = staircase_problem(empty, empty, empty, 0.5)
         assert problem.constraint_matrix.shape == (0, 0)
         for solution in (solve(problem), solve(dataclasses.replace(problem))):
             assert (solution.status, solution.x.tolist(), solution.objective_value,
@@ -547,8 +552,8 @@ class TestStaircase:
         # on the diagonal: the back substitution divides by it, so the duals
         # come from a LAPACK solve of A^T y = c, which pivots past it. The
         # start (0, 0.6, 0.4) with duals (1.2, 2, 2) is optimal.
-        problem = LpProblem.staircase(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.1]),
-                                      np.array([0.0, -0.5, -0.1]), 0.5)
+        problem = staircase_problem(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.1]),
+                                    np.array([0.0, -0.5, -0.1]), 0.5)
         assert problem.constraint_matrix[1, 1] == 0.0
         assert self.duals(problem) is None
         assert np.linalg.solve(problem.constraint_matrix.T, problem.objective) == (
@@ -562,8 +567,8 @@ class TestStaircase:
         # A cost of -1 on x0: the start (0.4, 0.6) has duals (-0.8, 2), so
         # row 0's slack replaces x0. Its dual is then 0 and y_1 = 1 / 0.9;
         # x0 prices out at -1 + 0.1 / 0.9.
-        problem = LpProblem.staircase(np.array([-1.0, 1.0]), np.array([1.0, 0.5]),
-                                      np.array([0.0, -0.1]), 1.0)
+        problem = staircase_problem(np.array([-1.0, 1.0]), np.array([1.0, 0.5]),
+                                    np.array([0.0, -0.1]), 1.0)
         assert self.duals(problem) == pytest.approx([-0.8, 2.0], rel=1e-15)
         assert self.duals(problem, kept=[1], frame=False) == [0.0, 1.0 / 0.9]
         staircase, plain = solve(problem), solve(dataclasses.replace(problem))
@@ -585,8 +590,8 @@ class TestStaircase:
         (0.0, "pivoted"),               # x0 prices in at 1/3
     ], ids=["within-tolerance", "past-tolerance", "prices-in"])
     def test_repair_holds_a_dropped_column_to_the_tolerance(self, c0, path):
-        problem = LpProblem.staircase(np.array([c0, 1.0, -1.0]), np.array([1.0, 0.5, 0.5]),
-                                      np.array([0.0, -0.5, -0.5]), 2.0)
+        problem = staircase_problem(np.array([c0, 1.0, -1.0]), np.array([1.0, 0.5, 0.5]),
+                                    np.array([0.0, -0.5, -0.5]), 2.0)
         a = problem.constraint_matrix
         assert (np.abs(a).max(axis=0) >= 1.0).all()
         assert (self.duals(problem, kept=[1], frame=False)

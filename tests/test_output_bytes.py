@@ -138,11 +138,11 @@ def lp_path_lines() -> str:
         if gen["n_users"] < 6:
             continue
         instance = netgen.sample(netgen.config_from_dict(gen))
-        coefficients = stm.lp_coefficients(instance)
+        table = stm.lp_coefficients(instance)
         counts = dict.fromkeys(("certified", "repaired", "pivoted"), 0)
         uncertified = []
         for order in itertools.permutations(range(1, instance.n_users + 1)):
-            result = lp.solve(stm.throughput_lp(instance, order, coefficients))
+            result = lp.solve(stm.throughput_lp(instance, order, table))
             counts[result.path] += 1
             if result.path != "certified":
                 uncertified.append(f"order {order} path {result.path} pivots {result.pivots}")

@@ -34,7 +34,7 @@ from wpcn_sched.lp import PIVOT_TOL, LpProblem, LpStatus, NumericalBreakdown, so
 from wpcn_sched.model import ENERGY_TOL, layout, shortfalls
 from wpcn_sched.stm import FRAME_LENGTH, fixed_order_stm, lp_coefficients, throughput_lp
 
-from helpers import assert_same_fields, dense_staircase, exact_vertex_max
+from helpers import assert_same_fields, dense_staircase, exact_vertex_max, staircase_problem
 
 
 @st.composite
@@ -350,7 +350,7 @@ def test_staircase_is_the_dense_build(data):
     if {v.size for v in vectors} == {len(columns)}:   # else refused whatever the order
         permuted = tuple(v[columns] for v in vectors)
     builds = [
-        (vectors, lambda: LpProblem.staircase(objective, rhs, lower, p_max)),
+        (vectors, lambda: staircase_problem(objective, rhs, lower, p_max)),
         (permuted, lambda: lp_module.Staircase(objective.tolist(), rhs.tolist(), lower.tolist(),
                                                p_max).problem(order)),
     ]

@@ -189,13 +189,20 @@ class TestFixedOrder:
         instance = NetworkInstance(params, tuple(
             UserProfile(uplink_gain=up, downlink_gain=1e-3, initial_energy=battery)
             for up, battery in users))
-        coefficients = lp_coefficients(instance)
-        rates = [0.0, *(rate(params, u) for u in instance.users)]
-        assert coefficients.rates == rates
-        assert [value.hex() for value in coefficients.table.objective] == objective
-        problem = throughput_lp(instance, [3, 1, 2], coefficients)
+        table = lp_coefficients(instance)
+        # The throughput folds read the instance's rates: the unscaled ones.
+        rates = [rate(params, u) for u in instance.users]
+        assert [value.hex() for value in instance.rates] == [value.hex() for value in rates]
+        assert [value.hex() for value in table.objective] == objective
+        problem = throughput_lp(instance, [3, 1, 2], table)
         assert [value.hex() for value in problem.objective.tolist()] == [
             objective[j] for j in (0, 3, 1, 2)]
+        # The throughput is in bits: the slots' left fold over those rates.
+        solution = fixed_order_stm(instance, [3, 1, 2], table)
+        throughput = 0.0
+        for i, tau in solution.pairs:
+            throughput += tau * rates[i - 1]
+        assert solution.pairs and solution.throughput.hex() == throughput.hex()
 
     def test_lp_failure_is_surfaced(self, monkeypatch):
         instance = random_instance(seed=2, n_users=2)
@@ -282,8 +289,8 @@ class TestBruteForce:
         for calls in (1, 2):
             fixed_order_stm(instance, [3, 1, 4, 6, 5, 2])
             assert len(runs) == 1 + calls
-        coefficients = lp_coefficients(instance)
-        fixed_order_stm(instance, [3, 1, 4, 6, 5, 2], coefficients)
+        table = lp_coefficients(instance)
+        fixed_order_stm(instance, [3, 1, 4, 6, 5, 2], table)
         assert len(runs) == 4
 
     def test_only_the_winner_is_laid_out(self, monkeypatch):
