@@ -19,6 +19,14 @@ certified once more; a staircase prices the dropped columns from its layout
 in O(m). Any other failure falls back to the simplex below, so
 the result never depends on the guess.
 
+Each LAPACK solve (:func:`_lapack_solve`) calls the gesv gufunc that
+``numpy.linalg.solve`` runs for a float64 matrix and vector, with the same
+signature, so it gives the same bits. On the exact STM oracle's 7 x 7 LPs
+``numpy.linalg.solve`` took 4.8 µs, of which its Python wrapper took 3.3
+and the gufunc 1.5 (2 vCPUs, numpy 2.4.6); called directly under an error
+state, the solve takes 2.9 µs. A singular basis then gives NaN, not
+``LinAlgError``, and the finiteness test refuses it.
+
 The simplex is a one-phase tableau method with Bland's anti-cycling rule
 (Bland, Math. Oper. Res. 1977): b >= 0 makes the slack basis a feasible
 start. The solver's LPs have one row per user plus the frame budget (2 to
@@ -37,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg   # numpy-internal: see _lapack_solve
 
 FEASIBILITY_TOL = 1e-9
 PIVOT_TOL = 1e-11
@@ -316,6 +325,15 @@ def _staircase_prices_out(c: Sequence[float], lower: Sequence[float],
     return not dropped[0] or c[0] - (y[0] + below) <= FEASIBILITY_TOL
 
 
+def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.solve(a, b)`` for a float64 square ``a`` (any strides)
+    and vector ``b``: the same gufunc, signature and error state, less the
+    singular-matrix callback, so a singular ``a`` gives NaN and no warning.
+    ``_umath_linalg`` is numpy-internal: tests/test_lp.py pins the bytes."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     """The vertex of the all-tight start or of its repair, with the path that
     passed the simplex's own optimality test ("certified" or "repaired"),
@@ -325,7 +343,10 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     costs are the slacks' -y: it passes when every entry of x = A^-1 b and
     y = A^-T c is finite (``math.isfinite``, so no NaN reaches a
     comparison), min(x) >= 0 and min(y) >= -FEASIBILITY_TOL. x comes from
-    one LAPACK solve. A staircase (:class:`Staircase`) takes y by
+    one LAPACK solve, a direct call of ``numpy.linalg.solve``'s gesv gufunc
+    (:func:`_lapack_solve`: the same bits, at about 60% of the cost on a
+    7 x 7 basis); a singular basis gives NaN there, which the finiteness
+    test refuses. A staircase (:class:`Staircase`) takes y by
     :func:`_staircase_duals`, an O(m) back substitution on its mark's floats,
     and only on a zero pivot by a LAPACK solve of A^T y = c; any other
     problem always by that solve, so its results are those of two separate
@@ -349,19 +370,16 @@ def _certified_start(problem: LpProblem) -> tuple[np.ndarray, str] | None:
     for path in ("certified", "repaired"):
         # The checks run on Python floats, which cost less than numpy's
         # reductions at 7 rows.
-        try:
-            x = np.linalg.solve(basis, problem.rhs)
-            x_values = x.tolist()
-            if not all(map(math.isfinite, x_values)) or min(x_values, default=0.0) < 0.0:
-                return None
-            y = None
-            if staircase is not None:
-                y = _staircase_duals(*staircase, kept, frame)
-            if y is None:   # a slack's cost is 0
-                costs = c if path == "certified" else np.where(dropped, 0.0, c)
-                y = np.linalg.solve(basis.T, costs).tolist()
-        except np.linalg.LinAlgError:
+        x = _lapack_solve(basis, problem.rhs)
+        x_values = x.tolist()
+        if not all(map(math.isfinite, x_values)) or min(x_values, default=0.0) < 0.0:
             return None
+        y = None
+        if staircase is not None:
+            y = _staircase_duals(*staircase, kept, frame)
+        if y is None:   # a slack's cost is 0
+            costs = c if path == "certified" else np.where(dropped, 0.0, c)
+            y = _lapack_solve(basis.T, costs).tolist()
         if not all(map(math.isfinite, y)):
             return None
         if path == "repaired":

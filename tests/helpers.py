@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -297,6 +298,25 @@ def assert_same_fields(problem, twin) -> None:
                     theirs.dtype, theirs.shape, theirs.tobytes()), field.name
             else:
                 assert mine == theirs, field.name
+
+
+def count_model_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """A live count of the calls of each ``model`` function in ``names``,
+    through every binding in the package, ``from .model import`` ones too."""
+    calls = dict.fromkeys(names, 0)
+    package = [module for name, module in sys.modules.items()
+               if name == "wpcn_sched" or name.startswith("wpcn_sched.")]
+    for name in names:
+        original = getattr(model, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        for module in package:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 # -- the energy replay --------------------------------------------------------

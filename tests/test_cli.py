@@ -8,7 +8,6 @@ import os
 import pathlib
 import re
 import stat
-import sys
 import tempfile
 import threading
 
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 from wpcn_sched import (GenConfig, StmSolution, SystemParams, UserProfile, instance_from_dict,
                         instance_to_dict, mrsa, sample, stm, validate)
 from wpcn_sched import cli as cli_module
-from wpcn_sched import model
 from wpcn_sched.cli import (
     AXES,
     CSV_COLUMNS,
@@ -34,6 +32,8 @@ from wpcn_sched.cli import (
     write_jsonl,
 )
 from wpcn_sched.netgen import MAX_USERS, derive_seed
+
+from helpers import count_model_calls
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -898,19 +898,7 @@ class TestClosedFormsPerTrial:
     def calls_per_trial(monkeypatch, n: int, oracle: bool) -> list[int]:
         """The calls of rate, harvest_rate, tau_min and s_min made by one
         sweep trial of ``n`` users."""
-        calls = dict.fromkeys(("rate", "harvest_rate", "tau_min", "s_min"), 0)
-        package = [module for name, module in sys.modules.items()
-                   if name == "wpcn_sched" or name.startswith("wpcn_sched.")]
-        for name in calls:
-            original = getattr(model, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-            for module in package:   # every binding, ``from .model import`` ones too
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+        calls = count_model_calls(monkeypatch, "rate", "harvest_rate", "tau_min", "s_min")
         config = GenConfig(n_users=n, seed=1, battery_max=0.001, min_distance=1.0)
         record = cli_module.run_trial(sample(config), ("mls", "stm"), oracle)
         assert not record["infeasible"]

@@ -1,6 +1,7 @@
 """Simplex solver against hand cases and the vertex-enumeration oracle."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from wpcn_sched.lp import (
     LpProblem,
     LpStatus,
     NumericalBreakdown,
+    Staircase,
     solve,
 )
-from wpcn_sched.stm import throughput_lp
+from wpcn_sched.stm import lp_coefficients, throughput_lp
 
 from helpers import (assert_same_fields, dense_staircase, exact_vertex_max, random_instance,
                      staircase_problem, two_solve_certificate)
@@ -336,43 +338,51 @@ class TestCertifiedStart:
         assert solution.x.tolist() == pytest.approx(x, abs=1e-15)
         assert solution.objective_value == float(problem.objective @ solution.x)
 
-    @pytest.mark.parametrize("c, a, b, path", [
+    @pytest.mark.parametrize("problem, path", [
         # x0 + x1 = 1 and x0 - x1 = 2 meet at (1.5, -0.5)
-        ([2.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 2.0], "pivoted"),
+        (lp([2.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 2.0], True), "pivoted"),
         # (1, 1) is feasible, but loosening x1 <= 1 gains (its dual is -1);
         # the repair finds the cold solve's vertex
-        ([1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], "repaired"),
+        (lp([1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], True), "repaired"),
         # (0, 0.5, 1) has dual -5e-5 on row 0; after slack 0 replaces x0,
         # x0's reduced cost 5e-10 is below FEASIBILITY_TOL but large next to
         # its 1e-5 entries, so the repair is refused: the optimum has x0 = 1e5
-        ([5e-10, 2.0, 0.0], [[-1e-5, 2.0, 0.0], [1e-5, -2.0, 1.0], [0.0, 2.0, 0.0]],
-         [1.0, 0.0, 1.0], "pivoted"),
+        (lp([5e-10, 2.0, 0.0], [[-1e-5, 2.0, 0.0], [1e-5, -2.0, 1.0], [0.0, 2.0, 0.0]],
+         [1.0, 0.0, 1.0], True), "pivoted"),
         # the two rows are parallel: no basis
-        ([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], "pivoted"),
+        (lp([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], True), "pivoted"),
         # (0, 0.5) has duals (-0.5, 1); after slack 0 replaces x0, the
         # vertex (s0, x1) = (0, 0.5) has duals (0, 0.5) and x0 prices out at
         # 2 - 0.5 = 1.5
-        ([2.0, 1.0], [[-2.0, 2.0], [1.0, 2.0]], [1.0, 1.0], "pivoted"),
+        (lp([2.0, 1.0], [[-2.0, 2.0], [1.0, 2.0]], [1.0, 1.0], True), "pivoted"),
         # (0, 2) has duals (-1, 0); after slack 0 replaces x0, the vertex
         # (s0, x1) = (0, 2) has duals (0, -1): a new negative dual
-        ([1.0, -1.0], [[-1.0, 1.0], [2.0, 1.0]], [2.0, 2.0], "pivoted"),
+        (lp([1.0, -1.0], [[-1.0, 1.0], [2.0, 1.0]], [2.0, 2.0], True), "pivoted"),
         # the vertex (1, 1) is finite and nonnegative, but its first dual
         # -1e200 / 1e-200 overflows to -inf
-        ([-1e200, 1.0], [[1e-200, 0.0], [0.0, 1.0]], [1e-200, 1.0], "pivoted"),
+        (lp([-1e200, 1.0], [[1e-200, 0.0], [0.0, 1.0]], [1e-200, 1.0], True), "pivoted"),
         # the vertex (2, -0.0) is finite and nonnegative, but its first dual
         # (2^500 - 1) / 2^-600 overflows to +inf
-        ([2.0 ** 500, 1.0], [[2.0 ** -600, 0.0], [1.0, 1.0]], [2.0 ** -599, 2.0], "pivoted"),
+        (lp([2.0 ** 500, 1.0], [[2.0 ** -600, 0.0], [1.0, 1.0]], [2.0 ** -599, 2.0], True),
+         "pivoted"),
         # 1e200 / 1e-200 overflows: the vertex is (inf, 1)
-        ([-1.0, 1.0], [[1e-200, 0.0], [0.0, 1.0]], [1e200, 1.0], "pivoted"),
+        (lp([-1.0, 1.0], [[1e-200, 0.0], [0.0, 1.0]], [1e200, 1.0], True), "pivoted"),
         # back substitution meets inf - inf: the vertex is (nan, nan, inf)
-        ([-1.0, -1.0, 1.0], [[1.0, 1.0, 1.0], [0.0, 1e-200, 0.0], [0.0, 0.0, 1e-200]],
-         [1.0, 1e200, 1e200], "pivoted"),
+        (lp([-1.0, -1.0, 1.0], [[1.0, 1.0, 1.0], [0.0, 1e-200, 0.0], [0.0, 0.0, 1e-200]],
+         [1.0, 1e200, 1e200], True), "pivoted"),
+        # a marked staircase whose rows 1 and 2 are all zero: LAPACK's vertex
+        # is NaN, refused before the mark's duals are read; the optimum is
+        # (0, 1, 0)
+        (Staircase([0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.0).problem((1, 2)),
+         "pivoted"),
     ], ids=["primal-infeasible", "dual-infeasible-slack", "dual-infeasible-column",
             "singular", "repair-prices-out", "repair-dual-negative",
-            "dual-minus-inf", "dual-plus-inf", "vertex-inf", "vertex-nan"])
-    def test_failed_certificate_falls_back_to_the_cold_solve(self, c, a, b, path):
-        problem = lp(c, a, b, tight_start=True)
-        warm = solve(problem)
+            "dual-minus-inf", "dual-plus-inf", "vertex-inf", "vertex-nan",
+            "singular-staircase"])
+    def test_failed_certificate_falls_back_to_the_cold_solve(self, problem, path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a singular basis is NaN, not a warning
+            warm = solve(problem)
         cold = solve(dataclasses.replace(problem, tight_start=False))
         assert warm.status is cold.status is LpStatus.OPTIMAL
         assert (warm.path, cold.path) == (path, "pivoted")
@@ -502,6 +512,61 @@ class TestCertifiedStart:
         assert solution.x[0] == 0.0
         oracle = exact_vertex_max(problem.objective, problem.constraint_matrix, problem.rhs)
         assert solution.objective_value == pytest.approx(float(oracle), rel=1e-12)
+
+
+class TestLapackSolve:
+    """``lp._lapack_solve`` calls numpy's internal LAPACK gufunc directly: it
+    must give ``numpy.linalg.solve``'s bytes, so a numpy that changes that
+    gufunc fails here, not in a byte file."""
+
+    @staticmethod
+    def assert_same_bytes(a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mine = lp_module._lapack_solve(a, b)
+        reference = np.linalg.solve(a, b)
+        assert (mine.dtype, mine.shape, mine.tobytes()) == (
+            reference.dtype, reference.shape, reference.tobytes())
+
+    @pytest.mark.parametrize("n_users", [6, 25, 50, 100])
+    def test_throughput_lps_match_numpy(self, n_users):
+        table = lp_coefficients(random_instance(seed=n_users, n_users=n_users,
+                                                battery_max=0.001))
+        rng = np.random.default_rng(n_users)
+        for order in (range(1, n_users + 1), rng.permutation(np.arange(1, n_users + 1)).tolist()):
+            problem = table.problem(order)
+            a = problem.constraint_matrix
+            self.assert_same_bytes(a, problem.rhs)
+            self.assert_same_bytes(a.T, problem.objective)   # the duals' strided view
+
+    def test_random_matrices_and_their_transposes_match_numpy(self):
+        rng = np.random.default_rng(27)
+        for size in (2, 3, 7, 14, 40):
+            a = rng.standard_normal((size, size))
+            b = rng.standard_normal(size)
+            assert not a.T.flags.c_contiguous
+            self.assert_same_bytes(a, b)
+            self.assert_same_bytes(a.T, b)
+
+    def test_empty_lp_matches_numpy(self):
+        self.assert_same_bytes(np.zeros((0, 0)), np.zeros(0))
+
+    @pytest.mark.parametrize("a, b", [
+        ([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]),                  # parallel rows
+        ([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 0.0, 0.0]),
+        ([[1e-200, 0.0], [0.0, 1.0]], [1e200, 1.0]),             # x0 overflows
+    ], ids=["singular", "zero-rows", "overflow"])
+    def test_singular_or_overflowing_input_is_non_finite_without_a_warning(self, a, b):
+        a, b = np.array(a), np.array(b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = lp_module._lapack_solve(a, b)
+        assert not np.isfinite(x).all()
+        if np.isnan(x).any():   # numpy's wrapper raises where the gufunc gives NaN
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(a, b)
+        else:
+            self.assert_same_bytes(a, b)
 
 
 class TestStaircase:

@@ -24,7 +24,8 @@ from wpcn_sched.lp import LpSolution, LpStatus
 from wpcn_sched.model import layout, shortfalls
 from wpcn_sched.stm import LpFailure, lp_coefficients, throughput_lp
 
-from helpers import assert_validate_replay, exact_vertex_max, random_instance, record_shortfalls
+from helpers import (assert_validate_replay, count_model_calls, exact_vertex_max, random_instance,
+                     record_shortfalls)
 
 SATURATING_GAIN = 1e9
 GOLDEN_FIXED_ORDER = json.loads(
@@ -257,20 +258,14 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             brute_force_stm(instance)
 
-    def test_closed_forms_are_computed_once_per_call(self, monkeypatch):
-        from wpcn_sched import stm as stm_module
-        calls = {"rate": 0, "harvest_rate": 0}
-
-        def counted(name, closed_form):
-            def count(*args):
-                calls[name] += 1
-                return closed_form(*args)
-            return count
-
-        for name in calls:
-            monkeypatch.setattr(stm_module, name, counted(name, getattr(stm_module, name)))
+    def test_closed_forms_are_computed_twice_per_user_per_call(self, monkeypatch):
+        # On a fresh instance, lp_coefficients computes each user's rate and
+        # harvest rate once, and NetworkInstance.rates and harvest_rates
+        # once more. Once lp_coefficients reads the instance's cache
+        # (ROADMAP item 4), each count falls to N.
+        calls = count_model_calls(monkeypatch, "rate", "harvest_rate")
         brute_force_stm(random_instance(seed=4, n_users=5, battery_max=0.001))
-        assert calls == {"rate": 5, "harvest_rate": 5}
+        assert calls == {"rate": 10, "harvest_rate": 10}
 
     def test_lp_input_rules_run_once_per_call(self, monkeypatch):
         # The rules run when lp_coefficients builds its table; every order's
