@@ -74,8 +74,9 @@ class SweepSpec:
     """One sweep: an axis, the grid, and the shared generator settings.
 
     ``values=None`` is the axis's default grid. Construction builds every
-    point's generator config into ``points``, in ``values`` order: a value
-    the model rejects raises here, and the sweep runs exactly these configs.
+    point's generator config into ``points``, in ``values`` order, and the
+    sweep runs exactly these configs. A rule of the spec, or a value the
+    model rejects at a point, raises ValueError here, as in GenConfig.
     """
 
     axis: str
@@ -88,41 +89,35 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
-            raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
+            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         values = _AXES[self.axis][0] if self.values is None else self.values
         if not isinstance(values, (list, tuple)) or not all(map(is_number, values)):
             raise ValueError(f"values must be a list of numbers, got {values!r}")
         object.__setattr__(self, "values", tuple(values))   # JSON reads lists
         object.__setattr__(self, "problems", tuple(self.problems))
         if not self.values:
-            raise ConfigError("values must be nonempty")
+            raise ValueError("values must be nonempty")
         if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+            raise ValueError("trials must be >= 1")
         if not self.problems or any(p not in PROBLEMS for p in self.problems):
-            raise ConfigError(f"problems must be a nonempty subset of {PROBLEMS}")
+            raise ValueError(f"problems must be a nonempty subset of {PROBLEMS}")
         if self.axis == "n_users":
             if any(not float(v).is_integer() or v < 1 for v in self.values):
-                raise ConfigError("n_users axis values must be positive integers")
+                raise ValueError("n_users axis values must be positive integers")
         at = _AXES[self.axis][1]
         object.__setattr__(self, "points", tuple(at(self.gen, value) for value in self.values))
         n_max = max(config.n_users for config in self.points)
         if self.oracle and n_max > BRUTE_FORCE_LIMIT:
-            raise ConfigError(f"oracle requested with {n_max} users; limit is {BRUTE_FORCE_LIMIT}")
+            raise ValueError(f"oracle requested with {n_max} users; limit is {BRUTE_FORCE_LIMIT}")
 
 
-def spec_from_dict(data: dict, trials_override: int | None = None) -> SweepSpec:
+def spec_from_dict(data: dict) -> SweepSpec:
     """SweepSpec from a JSON object, read like the generator config it holds.
 
-    A value the model rejects is a ConfigError before any trial runs.
+    Raises the model's KeyError, TypeError or ValueError, as
+    :func:`netgen.config_from_dict` does.
     """
-    try:
-        data = {**data, "gen": config_from_dict(data["gen"])}
-        if trials_override is not None:
-            check_types(SweepSpec, data)   # the spec's own trials is still checked
-            data["trials"] = trials_override
-        return from_dict(SweepSpec, data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep spec: {exc}") from exc
+    return from_dict(SweepSpec, {**data, "gen": config_from_dict(data["gen"])})
 
 
 def _checked(instance: NetworkInstance, schedule, check_traffic: bool):
@@ -278,12 +273,28 @@ def write_jsonl(records: list[dict], path: str) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _load_json(path: str) -> dict:
+def _read_input(path: str, what: str, reader, cls: type | None = None, **flags):
+    """``reader`` of the JSON in ``path``, each flag that is not ``None``
+    replacing its field of dataclass ``cls`` once the file's own values
+    pass :func:`model.check_types`.
+
+    Raises:
+        ConfigError: ``cannot read <path>``, or ``bad <what>: ...`` for a
+            KeyError, TypeError or ValueError from the check or ``reader``.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    flags = {name: value for name, value in flags.items() if value is not None}
+    try:
+        if flags:
+            check_types(cls, data)
+            data = {**data, **flags}
+        return reader(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def solve_one(instance: NetworkInstance, problem: str, algorithm: str) -> dict:
@@ -327,14 +338,8 @@ def solve_one(instance: NetworkInstance, problem: str, algorithm: str) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    data = _load_json(args.config)
-    try:
-        if args.seed is not None:
-            check_types(GenConfig, data)   # the config's own seed is still checked
-            data = {**data, "seed": args.seed}
-        config = config_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad generator config: {exc}") from exc
+    config = _read_input(args.config, "generator config", config_from_dict, GenConfig,
+                         seed=args.seed)
     _check_writable_target(args.out)
     instance = sample(config)
     payload = instance_to_dict(instance)
@@ -345,18 +350,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    data = _load_json(args.instance)
-    try:
-        instance = instance_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad instance file: {exc}") from exc
+    instance = _read_input(args.instance, "instance file", instance_from_dict)
     result = solve_one(instance, args.problem, args.alg)
     sys.stdout.write(json.dumps(result, indent=2, allow_nan=False) + "\n")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    spec = spec_from_dict(_load_json(args.spec), trials_override=args.trials)
+    spec = _read_input(args.spec, "sweep spec", spec_from_dict, SweepSpec, trials=args.trials)
     for path in (args.out, args.raw):
         if path:
             _check_writable_target(path)

@@ -65,7 +65,7 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """maximize objective . x  subject to  constraint_matrix . x <= rhs, x >= 0,
     with every entry finite and rhs >= 0 (so x = 0 is feasible).
@@ -77,8 +77,8 @@ class LpProblem:
     carries a mark: its columns' objective, lower and diagonal values as
     Python floats, from which ``solve`` takes the start's duals, and its
     repair's reduced costs, in O(m). The mark is not a field of the
-    constructor, the repr or equality, and ``dataclasses.replace`` drops
-    it.
+    constructor or the repr, and ``dataclasses.replace`` drops it.
+    Problems compare and hash by identity, as solutions do.
 
     The fields hold float arrays; this constructor keeps the caller's own
     where they already are. It and :class:`Staircase` raise ValueError, in
@@ -128,7 +128,8 @@ class Staircase:
         ValueError: as the :class:`LpProblem` constructor would for any of
             its LPs, rule for rule: the input rules (:func:`_check_inputs`)
             run on the O(m) values the matrices are made of, lower[1:] and
-            lower[1:] + p_max.
+            lower[1:] + p_max; then on fewer than two variables (tau0 and
+            a user).
     """
 
     def __init__(self, objective: Sequence[float], rhs: Sequence[float],
@@ -137,6 +138,8 @@ class Staircase:
         self.diagonal = tuple(e + p_max for e in self.lower)
         size = len(self.lower)
         _check_inputs(self.objective, (size, size), self.lower[1:] + self.diagonal[1:], self.rhs)
+        if size < 2:
+            raise ValueError(f"a staircase needs tau0 and at least one user, got {size} variables")
 
     def problem(self, order: Sequence[int]) -> LpProblem:
         """The marked ``tight_start`` LP of columns ``(0, *order)``, where
@@ -149,12 +152,9 @@ class Staircase:
         lower and diagonal values as its mark. A square LP in the vectors'
         own order is ``problem(range(1, m))``.
         """
-        columns = (0, *order) if self.objective else ()   # the empty staircase has no tau0
-        size = len(columns)
-        # An itemgetter returns a tuple only for two indices or more.
-        get = (operator.itemgetter(*columns) if size > 1
-               else lambda values: tuple(values[j] for j in columns))
+        get = operator.itemgetter(0, *order)
         c, lower, diagonal = get(self.objective), get(self.lower), get(self.diagonal)
+        size = len(c)
         values = np.array([0.0, 1.0, *lower, *diagonal, *c, *get(self.rhs)])
         problem = LpProblem.__new__(LpProblem)
         vars(problem).update(objective=values[2 + 2 * size:2 + 3 * size],
@@ -183,7 +183,7 @@ def _check_inputs(c: Sequence[float], a_shape: tuple[int, ...], a_entries: Seque
         raise ValueError(f"rhs must be >= 0, got {min(b)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """``path``: "certified" (the tight start), "repaired" (its repair) or
     "pivoted".

@@ -59,25 +59,27 @@ def base_spec_dict(**kw):
 
 class TestSpecValidation:
     def test_bad_axis(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=re.escape(
+                f"axis must be one of {AXES}, got 'frequency'")):
             spec_from_dict(base_spec_dict(axis="frequency"))
 
     def test_empty_values(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^values must be nonempty$"):
             spec_from_dict(base_spec_dict(values=[]))
 
     def test_zero_trials(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
             spec_from_dict(base_spec_dict(trials=0))
 
     def test_bad_problem(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=re.escape(
+                f"problems must be a nonempty subset of {PROBLEMS}")):
             spec_from_dict(base_spec_dict(problems=["mls", "tsp"]))
 
     def test_oracle_with_too_many_users(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^oracle requested with 10 users; limit is 8$"):
             spec_from_dict(base_spec_dict(gen=base_gen_dict(n_users=10)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^oracle requested with 12 users; limit is 8$"):
             spec_from_dict(base_spec_dict(axis="n_users", values=[4, 12]))
 
     def test_rejected_value_raises_at_construction(self):
@@ -87,7 +89,7 @@ class TestSpecValidation:
             SweepSpec(axis="hap_power", values=(-1.0,), gen=GenConfig(n_users=3, seed=1))
 
     def test_fractional_user_counts(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^n_users axis values must be positive integers$"):
             spec_from_dict(base_spec_dict(axis="n_users", values=[2.5]))
 
     @pytest.mark.parametrize("spec, message", [
@@ -120,6 +122,17 @@ class TestSpecValidation:
         # dict() would read the pairs as the object {"n_users": 2, "seed": 1}.
         (base_spec_dict(gen=[["n_users", 2], ["seed", 1]]),
          "error: bad sweep spec: 'list' object is not a mapping"),
+        # The spec's own rules, prefixed like every other refusal of the file.
+        (base_spec_dict(axis="frequency"),
+         f"error: bad sweep spec: axis must be one of {AXES}, got 'frequency'\n"),
+        (base_spec_dict(values=[]), "error: bad sweep spec: values must be nonempty\n"),
+        (base_spec_dict(trials=0), "error: bad sweep spec: trials must be >= 1\n"),
+        (base_spec_dict(problems=["mls", "tsp"]),
+         f"error: bad sweep spec: problems must be a nonempty subset of {PROBLEMS}\n"),
+        (base_spec_dict(axis="n_users", values=[2.5]),
+         "error: bad sweep spec: n_users axis values must be positive integers\n"),
+        (base_spec_dict(gen=base_gen_dict(n_users=10)),
+         "error: bad sweep spec: oracle requested with 10 users; limit is 8\n"),
     ], ids=["negative-hap-power", "values-not-a-list", "seed-not-an-integer",
             "seed-is-a-bool", "seed-negative", "oracle-a-string", "oracle-a-number",
             "trials-fractional", "trials-a-float", "trials-a-string", "trials-a-bool",
@@ -127,7 +140,8 @@ class TestSpecValidation:
             "n-users-axis-infinity", "n-users-axis-minus-infinity",
             "values-past-the-largest-double", "n-users-axis-past-the-largest-double",
             "n-users-axis-above-the-bound", "gen-n-users-above-the-bound",
-            "gen-an-array-of-pairs"])
+            "gen-an-array-of-pairs", "axis-unknown", "values-empty", "trials-zero",
+            "problems-unknown", "n-users-axis-fractional", "oracle-above-the-cap"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, spec, message):
         spec_path = write_json(tmp_path / "spec.json", spec)
         out = tmp_path / "out.csv"
@@ -152,15 +166,36 @@ class TestSpecValidation:
             "error: bad sweep spec: trials must be an integer, got 'x'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("trials", "x", "trials must be an integer, got 'x'"),
+        ("oracle", "yes", "oracle must be true or false, got 'yes'"),
+    ], ids=["trials", "oracle"])
+    def test_trials_flag_checks_the_specs_types_before_reading_gen(self, tmp_path, capsys,
+                                                                  key, value, message):
+        # Without the flag the missing gen is reported first.
+        spec = base_spec_dict(**{key: value})
+        del spec["gen"]
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out), "--trials", "1"]) == 2
+        assert capsys.readouterr().err == f"error: bad sweep spec: {message}\n"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad sweep spec: 'gen'\n"
+        assert not out.exists()
+
     def test_default_grid_when_values_omitted(self):
         data = base_spec_dict(oracle=False)
         del data["values"]
         spec = spec_from_dict(data)
         assert spec.values == (0.5, 1.0, 2.0, 4.0, 8.0)
 
-    def test_trials_override(self):
-        spec = spec_from_dict(base_spec_dict(oracle=False), trials_override=7)
-        assert spec.trials == 7
+    def test_trials_override(self, tmp_path):
+        spec_path = write_json(tmp_path / "spec.json",
+                               base_spec_dict(values=[1.0], problems=["stm"], oracle=False))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out), "--trials", "7"]) == 0
+        header, row = out.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["trials"] == "7"
 
 
 class TestRunSweep:

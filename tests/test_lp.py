@@ -598,13 +598,27 @@ class TestStaircase:
         # one added later, must still be what the constructor would make.
         assert_same_fields(problem, dataclasses.replace(problem))
 
-    def test_empty_staircase_is_the_empty_lp(self):
-        empty = np.zeros(0)
-        problem = staircase_problem(empty, empty, empty, 0.5)
-        assert problem.constraint_matrix.shape == (0, 0)
-        for solution in (solve(problem), solve(dataclasses.replace(problem))):
-            assert (solution.status, solution.x.tolist(), solution.objective_value,
-                    solution.path) == (LpStatus.OPTIMAL, [], 0.0, "certified")
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_fewer_than_two_variables_are_refused(self, size):
+        vector = np.ones(size)
+        with pytest.raises(ValueError, match=(
+                f"^a staircase needs tau0 and at least one user, got {size} variables$")):
+            staircase_problem(vector, vector, vector, 0.5)
+
+    def test_problems_and_solutions_compare_by_identity(self):
+        # Their fields are arrays, which have no truth value: equality and
+        # the hash are by identity, and assert_same_fields compares fields.
+        marked = staircase_problem(np.array([0.0, 1.0]), np.array([1.0, 0.5]),
+                                   np.array([0.0, -0.1]), 1.0)
+        plain = dataclasses.replace(marked)
+        solution = solve(marked)
+        assert solution.x is not None
+        for value, twin in ((marked, plain), (plain, dataclasses.replace(plain)),
+                            (solution, dataclasses.replace(solution))):
+            assert value == value and not value != value
+            assert value != twin and not value == twin
+            assert hash(value) == hash(value)
+            assert {value, twin} == {twin, value} and len({value, twin}) == 2
 
     @staticmethod
     def duals(problem, kept=None, frame=True):

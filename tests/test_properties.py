@@ -333,7 +333,7 @@ def staircase_vectors(draw):
             p_max, order)
 
 
-# The diagonal 1e308 + 1e308 overflows; the empty staircase is the empty LP.
+# The diagonal 1e308 + 1e308 overflows; a staircase of fewer than two variables is refused.
 @example((np.zeros(2), np.ones(2), np.array([0.0, 1e308]), 1e308, [1]))
 @example((np.zeros(0), np.zeros(0), np.zeros(0), 0.5, []))
 @settings(max_examples=300)
@@ -342,10 +342,11 @@ def test_staircase_is_the_dense_build(data):
     # Both the vectors' own column order and a table's problem of ``order``
     # are their dense build, refusals included: a table is refused, with
     # the same message, exactly when the dense build of its permuted
-    # vectors is.
+    # vectors is, or, with no rule of that build broken, when it has fewer
+    # than two variables.
     objective, rhs, lower, p_max, order = data
     vectors = objective, rhs, lower
-    columns = [0, *order][:lower.size]   # the empty staircase has no tau0
+    columns = [0, *order]
     permuted = vectors
     if {v.size for v in vectors} == {len(columns)}:   # else refused whatever the order
         permuted = tuple(v[columns] for v in vectors)
@@ -357,6 +358,9 @@ def test_staircase_is_the_dense_build(data):
     for (c, b, low), build in builds:
         try:
             reference = LpProblem(c, dense_staircase(low, p_max), b, tight_start=True)
+            if low.size < 2:
+                raise ValueError("a staircase needs tau0 and at least one user, "
+                                 f"got {low.size} variables")
         except ValueError as error:
             event("refused")
             with pytest.raises(ValueError) as raised:
