@@ -31,6 +31,7 @@ from .model import (
     NetworkInstance,
     RateOverflow,
     TooLarge,
+    check_object,
     check_types,
     from_dict,
     instance_from_dict,
@@ -117,6 +118,7 @@ def spec_from_dict(data: dict) -> SweepSpec:
     Raises the model's KeyError, TypeError or ValueError, as
     :func:`netgen.config_from_dict` does.
     """
+    check_object(SweepSpec, data)
     return from_dict(SweepSpec, {**data, "gen": config_from_dict(data["gen"])})
 
 
@@ -172,27 +174,27 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     """Run the sweep; returns (per-point rows, per-trial raw records).
 
     Trial t meets the same users at every axis point, so curves are paired
-    across the axis. They are drawn once, at the trial's first point, with
-    trial t's derived seed and the config of the point with the most users
-    (the first on a tie). Each point solves its own system over the first
-    ``n_users`` of them: the instance its own config draws with that seed,
-    since an axis sets only ``system``, which ``sample`` never reads, or
-    ``n_users``, and an n-user draw is the first n users of any larger one.
-    Every trial's users are held until the last point, about 250 B each.
+    across the axis. Every trial's users are drawn once, in trial order,
+    before the first trial runs, with trial t's derived seed and the config
+    of the point with the most users (the first on a tie), so a draw out of
+    range refuses the sweep before any trial runs. Each point solves its own
+    system over the first ``n_users`` of them: the instance its own config
+    draws with that seed, since an axis sets only ``system``, which
+    ``sample`` never reads, or ``n_users``, and an n-user draw is the first
+    n users of any larger one. The users are held until the last point,
+    about 250 B each.
     Points run in ``values`` order, all trials of one before the next.
     Infeasible trials are counted per point and excluded from the length
     statistics.
     """
     widest = max(spec.points, key=lambda config: config.n_users)
     seeds = [derive_seed(spec.gen.seed, t) for t in range(spec.trials)]
-    users = []   # each trial's, drawn at its first point
+    users = [sample(dataclasses.replace(widest, seed=seed)).users for seed in seeds]
     rows = []
     raw = []
     for value, config in zip(spec.values, spec.points):
         trials: list[dict] = []
         for t, seed in enumerate(seeds):
-            if t == len(users):
-                users.append(sample(dataclasses.replace(widest, seed=seed)).users)
             instance = NetworkInstance(config.system, users[t][:config.n_users])
             record = run_trial(instance, spec.problems, spec.oracle)
             trials.append(record)

@@ -490,14 +490,21 @@ _JSON_SCALARS = {"int": (lambda v: isinstance(v, int) and not isinstance(v, bool
                  "bool": (lambda v: isinstance(v, bool), "true or false")}
 
 
+def check_object(cls: type, data) -> None:
+    """Raise ValueError unless ``data``, read for dataclass ``cls``, is a JSON object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
+
+
 def check_types(cls: type, data: dict) -> None:
-    """Raise ValueError unless each number or flag in ``data`` fits its field
-    of dataclass ``cls``.
+    """Raise ValueError unless ``data`` is a JSON object (:func:`check_object`)
+    and each number or flag in it fits its field of dataclass ``cls``.
 
     int fields take integers, bool fields true or false, and float fields
     numbers (:func:`is_number`); a bool is never a number. ``None`` passes
     where the field is optional. Other fields and ranges are left to ``cls``.
     """
+    check_object(cls, data)
     for field in dataclasses.fields(cls):  # field.type is the annotation string
         kind = field.type.removesuffix(" | None")
         if field.name not in data or kind not in _JSON_SCALARS:
@@ -527,5 +534,8 @@ def instance_to_dict(instance: NetworkInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> NetworkInstance:
-    return NetworkInstance(params=from_dict(SystemParams, data["params"]),
-                           users=tuple(from_dict(UserProfile, u) for u in data["users"]))
+    check_object(NetworkInstance, data)
+    params = from_dict(SystemParams, data["params"])
+    if not isinstance(data["users"], list):
+        raise ValueError(f"users must be an array, got {data['users']!r}")
+    return NetworkInstance(params, tuple(from_dict(UserProfile, u) for u in data["users"]))

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import NetworkInstance, SystemParams, UserProfile, from_dict, require_finite
+from .model import (NetworkInstance, SystemParams, UserProfile, check_object, from_dict,
+                    require_finite)
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng; pinned by golden tests
 
@@ -159,7 +160,7 @@ def sample(config: GenConfig) -> NetworkInstance:
 
 def config_from_dict(data: dict) -> GenConfig:
     """GenConfig from a JSON object; see :func:`model.check_types` for the type rules."""
-    data = {**data}   # dict() would also take a list of key-value pairs
+    check_object(GenConfig, data)
     if "system" in data:
-        data["system"] = from_dict(SystemParams, data["system"])
+        data = {**data, "system": from_dict(SystemParams, data["system"])}
     return from_dict(GenConfig, data)

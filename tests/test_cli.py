@@ -31,7 +31,7 @@ from wpcn_sched.cli import (
     write_csv,
     write_jsonl,
 )
-from wpcn_sched.netgen import MAX_USERS, derive_seed
+from wpcn_sched.netgen import MAX_USERS, GainOutOfRange, derive_seed
 
 from helpers import count_model_calls
 
@@ -121,7 +121,8 @@ class TestSpecValidation:
          f"n_users must be at most {MAX_USERS}, got {MAX_USERS + 1}"),
         # dict() would read the pairs as the object {"n_users": 2, "seed": 1}.
         (base_spec_dict(gen=[["n_users", 2], ["seed", 1]]),
-         "error: bad sweep spec: 'list' object is not a mapping"),
+         "error: bad sweep spec: GenConfig must be a JSON object, "
+         "got [['n_users', 2], ['seed', 1]]\n"),
         # The spec's own rules, prefixed like every other refusal of the file.
         (base_spec_dict(axis="frequency"),
          f"error: bad sweep spec: axis must be one of {AXES}, got 'frequency'\n"),
@@ -181,6 +182,16 @@ class TestSpecValidation:
         assert capsys.readouterr().err == f"error: bad sweep spec: {message}\n"
         assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: bad sweep spec: 'gen'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [[], [1.0], "trials", 3, True, None])
+    @pytest.mark.parametrize("flags", [[], ["--trials", "1"]], ids=["no-flag", "trials-flag"])
+    def test_non_object_spec_exits_2(self, tmp_path, capsys, spec, flags):
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad sweep spec: SweepSpec must be a JSON object, got {spec!r}\n")
         assert not out.exists()
 
     def test_default_grid_when_values_omitted(self):
@@ -371,7 +382,8 @@ class TestGen:
         config_path = write_json(tmp_path / "gen.json", config)
         out = tmp_path / "instance.json"
         assert main(["gen", "--config", config_path, "--out", str(out), "--seed", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error: bad generator config: ")
+        assert capsys.readouterr().err == (
+            f"error: bad generator config: GenConfig must be a JSON object, got {config!r}\n")
         assert not out.exists()
 
     def test_config_as_an_array_of_pairs_exits_2(self, tmp_path, capsys):
@@ -379,8 +391,8 @@ class TestGen:
         config_path = write_json(tmp_path / "gen.json", [["n_users", 2], ["seed", 1]])
         out = tmp_path / "instance.json"
         assert main(["gen", "--config", config_path, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: bad generator config: 'list' object is not a mapping\n")
+        assert capsys.readouterr().err == ("error: bad generator config: GenConfig must be "
+                                           "a JSON object, got [['n_users', 2], ['seed', 1]]\n")
         assert not out.exists()
 
     def test_seed_flag_still_checks_the_configs_seed(self, tmp_path, capsys):
@@ -473,6 +485,25 @@ class TestExitCodes:
         assert main(["solve", "--instance", str(tmp_path / "nope.json"),
                      "--problem", "mls", "--alg", "mlsa"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("section, value, message", [
+        (None, 3, "NetworkInstance must be a JSON object, got 3"),
+        (None, [], "NetworkInstance must be a JSON object, got []"),
+        ("params", [1], "SystemParams must be a JSON object, got [1]"),
+        ("users", "ab", "users must be an array, got 'ab'"),
+        ("users", {"uplink_gain": 1.0}, "users must be an array, got {'uplink_gain': 1.0}"),
+        ("users", [3], "UserProfile must be a JSON object, got 3"),
+    ], ids=["instance-a-number", "instance-an-array", "params-an-array", "users-a-string",
+            "users-an-object", "user-a-number"])
+    def test_non_object_instance_is_2(self, tmp_path, capsys, section, value, message):
+        payload = json.loads((DATA / "golden_instance.json").read_text())
+        payload = value if section is None else {**payload, section: value}
+        instance_path = write_json(tmp_path / "instance.json", payload)
+        code = main(["solve", "--instance", instance_path, "--problem", "stm", "--alg", "mrsa"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: bad instance file: {message}\n"
 
     @pytest.mark.parametrize("problem", ["mls", "stm"])
     @pytest.mark.parametrize("gain", [None, 1e308])
@@ -634,7 +665,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("override, message", [
         pytest.param({"ref_loss_db": float("nan")}, "ref_loss_db must be finite",
                      id="ref-loss-db-nan"),
-        # drawn from the widest point's config, at the first trial's first point
+        # drawn from the widest point's config, before the first trial
         *OUT_OF_RANGE_DRAWS,
     ])
     def test_sweep_rejects(self, tmp_path, capsys, override, message):
@@ -645,6 +676,29 @@ class TestNonFiniteInput:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_later_trials_draw_refuses_the_sweep_before_any_trial(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # At seed 0 trials 0 and 1 draw in range and trial 2 does not.
+        spec = base_spec_dict(gen=base_gen_dict(seed=0, shadow_sigma_db=2000.0), trials=3)
+        gen = spec_from_dict(spec).gen
+        drawable = []
+        for t in range(3):
+            try:
+                sample(dataclasses.replace(gen, seed=derive_seed(0, t)))
+                drawable.append(True)
+            except GainOutOfRange as exc:
+                drawable.append(False)
+                refusal = f"error: {exc}\n"
+        assert drawable == [True, True, False]
+        trials = []
+        monkeypatch.setattr(cli_module, "run_trial",
+                            lambda *args: trials.append(args) or {"infeasible": False})
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == refusal
+        assert trials == []
+        assert not out.exists()
 
     def test_solve_rejects_no_receiver_noise(self, tmp_path, capsys):
         # With no noise the SNR would divide by zero.

@@ -408,6 +408,25 @@ class TestCertifiedStart:
         with pytest.raises(NumericalBreakdown, match="column 0"):
             solve(problem)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 5: a nearly singular start is certified")
+    def test_nearly_singular_start_is_refused_or_exact(self):
+        # The square start's basis has condition number about 2e30: its
+        # vertex (0, 6.3e15, 6.3e29) misses row 1 by 2.0, yet its duals pass,
+        # so it comes back certified with objective 5.7e20. The exact maximum
+        # is 9e4, and the cold solve raises NumericalBreakdown. The two-solve
+        # reference accepts the same vertex, so it cannot catch this.
+        problem = lp([0.0, -1.0, 9e-10],
+                     [[2.0, 1.0, -1e-14], [1.0, -2.0, 2e-14], [-2.0, 2.0, -2e-14]],
+                     [0.0, 2.0, 0.0], tight_start=True)
+        exact = exact_vertex_max(problem.objective, problem.constraint_matrix, problem.rhs)
+        assert float(exact) == pytest.approx(9e4, rel=1e-12)
+        try:
+            solution = solve(problem)
+        except NumericalBreakdown:
+            return
+        assert solution.objective_value == pytest.approx(float(exact), rel=1e-9)
+
     def test_square_certificate_matches_the_two_solve_reference(self):
         # Random square tight starts whose vertex is often nonnegative, with
         # some entries scaled by 1e±160 so that vertices and duals also
