@@ -31,13 +31,12 @@ from .model import (
     validate,
 )
 from .netgen import GenConfig, derive_seed, linear_gain, path_loss_db, sample, sample_gain
-from .stm import LpFailure, StmSolution, brute_force_stm, fixed_order_stm, mrsa
+from .stm import StmSolution, brute_force_stm, fixed_order_stm, mrsa
 
 __all__ = [
     "FeasibilityReport",
     "GenConfig",
     "Infeasible",
-    "LpFailure",
     "LpProblem",
     "LpSolution",
     "LpStatus",

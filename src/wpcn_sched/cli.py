@@ -7,8 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration or parse error (a rate that
 overflows, a drawn link gain out of range, too many users for an
-exhaustive solver and a throughput LP the exact solver cannot resolve
-included), 3 infeasible solve.
+exhaustive solver, a throughput LP the exact solver cannot resolve and an
+output that cannot be written included), 3 infeasible solve.
 """
 
 from __future__ import annotations
@@ -102,6 +102,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if not self.problems or any(p not in PROBLEMS for p in self.problems):
             raise ValueError(f"problems must be a nonempty subset of {PROBLEMS}")
+        if self.oracle and "stm" not in self.problems:
+            raise ValueError(f"oracle needs the stm problem, got problems {self.problems}")
         if self.axis == "n_users":
             if any(not float(v).is_integer() or v < 1 for v in self.values):
                 raise ValueError("n_users axis values must be positive integers")
@@ -227,38 +229,55 @@ def _format_cell(value) -> str:
 def _replacing(path: str):
     """Text file handle whose content replaces ``path`` only when the block
     completes; on any error ``path`` keeps its old content and the temp
-    file beside it is removed. Guards against half-written outputs, not
-    against power loss (no fsync). A symlink is followed, so the file it
-    names is replaced and the link kept, with that file's permissions; a
-    target that is not a regular file (``/dev/null``, a FIFO) is written
-    directly."""
+    file beside it, ``.wpcn-sched.<pid>.tmp`` (a bounded name, so a target
+    name at the length limit still has one), is removed. Guards against
+    half-written outputs, not against power loss (no fsync). A symlink is
+    followed, so the file it names is replaced and the link kept, with that
+    file's permissions; a target that is not a regular file (``/dev/null``,
+    a FIFO) is written directly.
+
+    Raises:
+        ConfigError: ``cannot write <path>: <reason>`` for an OSError from
+            creating, writing or replacing the file.
+    """
     real = os.path.realpath(path)
-    if os.path.exists(real) and not os.path.isfile(real):
-        with open(real, "w", newline="") as fh:
-            yield fh
-        return
-    tmp = f"{real}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        if os.path.exists(real):
-            shutil.copymode(real, tmp)
-        os.replace(tmp, real)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+        if os.path.exists(real) and not os.path.isfile(real):
+            with open(real, "w", newline="") as fh:
+                yield fh
+            return
+        tmp = os.path.join(os.path.dirname(real), f".wpcn-sched.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", newline="") as fh:
+                yield fh
+            if os.path.exists(real):
+                shutil.copymode(real, tmp)
+            os.replace(tmp, real)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _check_writable_target(path: str) -> None:
     """Refuse an output path whose file cannot be made, before any work runs:
-    its directory is missing, or the path names a directory."""
+    its directory is missing, the path names a directory, or looking it up
+    fails for another reason than its absence (a name past the file
+    system's length limit, say)."""
     real = os.path.realpath(path)
     if os.path.isdir(real):
         raise ConfigError(f"cannot write {path}: it is a directory")
     if not os.path.isdir(os.path.dirname(real)):
         raise ConfigError(f"cannot write {path}: directory {os.path.dirname(real)} "
                           "does not exist")
+    try:
+        os.lstat(real)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def write_csv(rows: list[dict], path: str) -> None:

@@ -25,18 +25,15 @@ from .model import (BRUTE_FORCE_LIMIT, NetworkInstance, Schedule, best_order, ch
 FRAME_LENGTH = 1.0  # normalized frame; throughput scales linearly with it
 
 
-class LpFailure(RuntimeError):
-    """The time-allocation LP did not come back optimal."""
-
-
 @dataclass(frozen=True)
 class StmSolution:
     """Frame allocation and total throughput in bits.
 
     ``tau0`` is the leading unallocated time and ``pairs`` the (user,
     duration) of each slot with positive time, in slot order. The schedule
-    is laid out from them on first read and kept (:func:`mrsa` hands over
-    the one it replayed).
+    is laid out from them on first read and kept (:func:`_replayed`, which
+    finishes :func:`mrsa` and :func:`brute_force_stm`, hands over the one it
+    replayed).
     """
 
     tau0: float
@@ -68,9 +65,9 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
     transmit later. Users whose rate is zero get no airtime. Whatever time
     is left over becomes the leading unallocated interval. A slot of a user
     in :func:`model.shortfalls` (an ulp short of its energy) is shortened
-    (:func:`_replayed`); the laid-out schedule is kept. The rates and
-    harvest rates are the instance's own (``NetworkInstance.rates``,
-    ``harvest_rates``).
+    and the throughput folded in grant order, both by :func:`_replayed`,
+    which keeps the laid-out schedule. The rates and harvest rates are the
+    instance's own (``NetworkInstance.rates``, ``harvest_rates``).
     """
     params = instance.params
     rates = instance.rates
@@ -92,28 +89,26 @@ def mrsa(instance: NetworkInstance) -> StmSolution:
             break
 
     pairs = tuple((i, tau) for i, tau in reversed(granted) if tau > 0.0)
-    remaining, pairs, schedule = _replayed(instance, remaining, pairs)
-    throughput = 0.0   # a left fold: sum() compensates from Python 3.12 on
-    for i, tau in reversed(pairs):
-        throughput += tau * rates[i - 1]
-    solution = StmSolution(remaining, pairs, throughput)
-    object.__setattr__(solution, "schedule", schedule)   # the property's own value
-    return solution
+    return _replayed(instance, remaining, pairs, grant_order=True)
 
 
-def _replayed(instance: NetworkInstance, tau0: float, pairs: tuple[tuple[int, float], ...]
-              ) -> tuple[float, tuple[tuple[int, float], ...], Schedule]:
-    """``(tau0, pairs, layout(tau0, pairs))`` once every slot replays: the
-    slot of a user in :func:`model.shortfalls` (an ulp short at large
-    energies) is shortened by its deficit over p_max, then by one ulp toward
-    0, and the time is given to tau0, which lowers no other balance.
+def _replayed(instance: NetworkInstance, tau0: float, pairs: tuple[tuple[int, float], ...],
+              grant_order: bool = False) -> StmSolution:
+    """The solution of ``tau0`` and ``pairs`` once every slot replays, with
+    its schedule ``layout(tau0, pairs)`` handed over. The slot of a user in
+    :func:`model.shortfalls` (an ulp short at large energies) is shortened
+    by its deficit over p_max, then by one ulp toward 0, and the time is
+    given to tau0, which lowers no other balance; a slot cut to zero leaves
+    ``pairs``. The throughput is a left fold of the replayed slots over the
+    instance's rates, in slot order or, with ``grant_order``, in
+    :func:`mrsa`'s grant order (back to front): each order has pinned bytes.
     """
     p_max = instance.params.p_max
     while True:
         schedule = layout(tau0, pairs)
         cuts = {i: -balance / p_max for i, balance in shortfalls(instance, schedule).items()}
         if not cuts:
-            return tau0, pairs, schedule
+            break
         kept = []
         for i, tau in reversed(pairs):   # mrsa's grant order, in which tau0 sums
             if i in cuts:
@@ -123,6 +118,13 @@ def _replayed(instance: NetworkInstance, tau0: float, pairs: tuple[tuple[int, fl
             if tau > 0.0:
                 kept.append((i, tau))
         pairs = tuple(reversed(kept))
+    rates = instance.rates
+    throughput = 0.0   # a left fold: sum() compensates from Python 3.12 on
+    for i, tau in reversed(pairs) if grant_order else pairs:
+        throughput += tau * rates[i - 1]
+    solution = StmSolution(tau0, pairs, throughput)
+    object.__setattr__(solution, "schedule", schedule)   # the property's own value
+    return solution
 
 
 def lp_coefficients(instance: NetworkInstance) -> lp.Staircase:
@@ -191,13 +193,14 @@ def fixed_order_stm(instance: NetworkInstance, order: Sequence[int],
 
     Raises:
         ValueError: ``order`` is not a permutation of the users.
-        LpFailure: the solver reports anything but an optimum (the zero
-            allocation is always feasible, so this indicates a solver
-            problem and is never absorbed).
+        NumericalBreakdown: :func:`lp.solve` cannot resolve the LP within
+            its tolerances, or reports it unbounded: the frame row bounds
+            every throughput LP, so only the tolerances misreading a pivot
+            can say so, and it is never absorbed.
     """
     solution = lp.solve(throughput_lp(instance, order, table))
     if solution.status is not lp.LpStatus.OPTIMAL:
-        raise LpFailure(f"time-allocation LP came back {solution.status.value}")
+        raise lp.NumericalBreakdown("time-allocation LP came back unbounded")
 
     x = solution.x.tolist()
     rates = instance.rates
@@ -216,16 +219,17 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
     Ties break toward the lexicographically smallest order. Only for small
     instances. :func:`lp_coefficients` computes the closed forms and runs
     the LP input rules once per call, and every order's LP is gathered from
-    its table with no rule run. Only the winner is
-    laid out; a slot of it that replays an ulp short of its energy is
-    shortened as in :func:`mrsa`, with the instance's harvest rates. The
-    throughput is summed from the replayed slots, with the instance's rates
+    its table with no rule run. Only the winner is laid out, by
+    :func:`_replayed` as for :func:`mrsa`: a slot of it that replays an ulp
+    short of its energy is shortened, and the throughput is summed from the
+    replayed slots in slot order, with the instance's rates
     (``NetworkInstance.rates``, N :func:`model.rate` calls on a fresh
     instance), as :func:`fixed_order_stm` sums it, so an uncut winner keeps
     its bits.
 
     Raises:
         TooLarge: more than BRUTE_FORCE_LIMIT users.
+        NumericalBreakdown: as for :func:`fixed_order_stm`.
     """
     table = None   # best_order raises TooLarge before any order is solved
     if instance.n_users <= BRUTE_FORCE_LIMIT:
@@ -233,11 +237,4 @@ def brute_force_stm(instance: NetworkInstance) -> StmSolution:
     # fixed_order_stm is looked up per call, so a rebound name is honoured
     best = best_order(instance, functools.partial(fixed_order_stm, table=table),
                       lambda solution: solution.throughput)
-    tau0, pairs, schedule = _replayed(instance, best.tau0, best.pairs)
-    rates = instance.rates
-    throughput = 0.0   # fixed_order_stm's left fold, in slot order
-    for i, tau in pairs:
-        throughput += tau * rates[i - 1]
-    solution = StmSolution(tau0, pairs, throughput)
-    object.__setattr__(solution, "schedule", schedule)   # the property's own value
-    return solution
+    return _replayed(instance, best.tau0, best.pairs)

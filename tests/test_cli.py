@@ -31,6 +31,7 @@ from wpcn_sched.cli import (
     write_csv,
     write_jsonl,
 )
+from wpcn_sched.lp import LpSolution, LpStatus
 from wpcn_sched.netgen import MAX_USERS, GainOutOfRange, derive_seed
 
 from helpers import count_model_calls
@@ -81,6 +82,17 @@ class TestSpecValidation:
             spec_from_dict(base_spec_dict(gen=base_gen_dict(n_users=10)))
         with pytest.raises(ValueError, match="^oracle requested with 12 users; limit is 8$"):
             spec_from_dict(base_spec_dict(axis="n_users", values=[4, 12]))
+
+    def test_oracle_without_stm(self):
+        # Refused before the cap: a 10-user mls sweep runs no oracle at all.
+        message = "^oracle needs the stm problem, got problems \\('mls',\\)$"
+        for n_users in (4, 10):
+            with pytest.raises(ValueError, match=message):
+                spec_from_dict(base_spec_dict(problems=["mls"],
+                                              gen=base_gen_dict(n_users=n_users)))
+        # The problems rule comes first.
+        with pytest.raises(ValueError, match="^problems must be a nonempty subset"):
+            spec_from_dict(base_spec_dict(problems=["tsp"]))
 
     def test_rejected_value_raises_at_construction(self):
         # Built in code, not only through spec_from_dict: every point's
@@ -134,6 +146,8 @@ class TestSpecValidation:
          "error: bad sweep spec: n_users axis values must be positive integers\n"),
         (base_spec_dict(gen=base_gen_dict(n_users=10)),
          "error: bad sweep spec: oracle requested with 10 users; limit is 8\n"),
+        (base_spec_dict(problems=["mls"], gen=base_gen_dict(n_users=10)),
+         "error: bad sweep spec: oracle needs the stm problem, got problems ('mls',)\n"),
     ], ids=["negative-hap-power", "values-not-a-list", "seed-not-an-integer",
             "seed-is-a-bool", "seed-negative", "oracle-a-string", "oracle-a-number",
             "trials-fractional", "trials-a-float", "trials-a-string", "trials-a-bool",
@@ -142,7 +156,8 @@ class TestSpecValidation:
             "values-past-the-largest-double", "n-users-axis-past-the-largest-double",
             "n-users-axis-above-the-bound", "gen-n-users-above-the-bound",
             "gen-an-array-of-pairs", "axis-unknown", "values-empty", "trials-zero",
-            "problems-unknown", "n-users-axis-fractional", "oracle-above-the-cap"])
+            "problems-unknown", "n-users-axis-fractional", "oracle-above-the-cap",
+            "oracle-without-stm"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, spec, message):
         spec_path = write_json(tmp_path / "spec.json", spec)
         out = tmp_path / "out.csv"
@@ -549,6 +564,18 @@ class TestExitCodes:
         assert main(["solve", "--instance", instance_path,
                      "--problem", "stm", "--alg", "mrsa"]) == 0
 
+    def test_unbounded_throughput_lp_is_2(self, capsys, monkeypatch):
+        # The frame row bounds every throughput LP, so an unbounded report
+        # can only be the tolerances misreading a pivot: a breakdown.
+        monkeypatch.setattr(stm.lp, "solve",
+                            lambda problem: LpSolution(status=LpStatus.UNBOUNDED))
+        code = main(["solve", "--instance", str(DATA / "golden_instance.json"),
+                     "--problem", "stm", "--alg", "opt"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: time-allocation LP came back unbounded\n"
+
     def test_infeasible_solve_is_3(self, tmp_path, capsys):
         payload = {
             "params": {"p_h": 1.0, "p_max": 0.1, "bandwidth": 1e6,
@@ -907,6 +934,14 @@ class TestAtomicWrites:
         assert out.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json", "instance.json"]
 
+    def test_failed_replace_is_a_config_error(self, tmp_path):
+        # The temp file is written, then renaming it over a name past the
+        # file system's limit fails: no file is left behind.
+        out = tmp_path / ("a" * 300)
+        with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(out))}: "):
+            write_jsonl([{"trial": 0}], str(out))
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_replaces_old_file(self, tmp_path):
         out = tmp_path / "out.jsonl"
         out.write_text("old\n")
@@ -1072,6 +1107,31 @@ class TestOutputTarget:
             f"error: --out and --raw name the same file {raw}\n")
         assert no_work == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    @staticmethod
+    def run(tmp_path, command, out):
+        if command == "gen":
+            argv = ["gen", "--config", write_json(tmp_path / "input.json", base_gen_dict())]
+        else:
+            argv = ["sweep", "--spec", write_json(tmp_path / "input.json",
+                                                  base_spec_dict(trials=1, oracle=False))]
+        return main([*argv, "--out", str(out)])
+
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_name_at_the_length_limit_is_written(self, tmp_path, command):
+        # The temp file beside it has a bounded name of its own.
+        out = tmp_path / ("a" * 250 + ".json")
+        assert self.run(tmp_path, command, out) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["input.json", out.name])
+
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_name_past_the_length_limit(self, tmp_path, capsys, no_work, command):
+        out = tmp_path / ("a" * 300)
+        assert self.run(tmp_path, command, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert no_work == []
+        assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
 
     def test_relative_target_in_working_directory(self, tmp_path, monkeypatch):
         config_path = write_json(tmp_path / "gen.json", base_gen_dict())

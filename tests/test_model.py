@@ -151,7 +151,7 @@ class TestTypes:
         import wpcn_sched
 
         assert sorted(wpcn_sched.__all__) == [
-            "FeasibilityReport", "GenConfig", "Infeasible", "LpFailure", "LpProblem",
+            "FeasibilityReport", "GenConfig", "Infeasible", "LpProblem",
             "LpSolution", "LpStatus", "MalformedSchedule", "MlsSolution",
             "NetworkInstance", "NumericalBreakdown", "RateOverflow", "Schedule", "Slot",
             "StmSolution", "SystemParams", "TooLarge", "UserProfile", "brute_force_mls",

@@ -291,6 +291,37 @@ def test_staircase_certificate_matches_the_plain_square_start(data):
     assert np.abs(np.array(duals) - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
+@st.composite
+def priced_staircases(draw):
+    """(mark, y, dropped, A) of a staircase LP: its mark's lower and diagonal
+    values, duals y, a drop mask and the dense matrix A. Each c_j is y.A_j
+    plus an offset at least 1e-6 from zero, of either sign, so every reduced
+    cost is far from FEASIBILITY_TOL (1e-9) next to the round-off of both
+    computations."""
+    size = draw(st.integers(2, 12))
+    small = st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size)
+    lower, y = np.array(draw(small)), np.array(draw(small))
+    p_max = draw(st.floats(0.01, 10.0))
+    a = dense_staircase(lower, p_max)
+    offsets = draw(st.lists(st.floats(1e-6, 10.0) | st.floats(-10.0, -1e-6),
+                            min_size=size, max_size=size))
+    c = y @ a + np.array(offsets)
+    mark = (c.tolist(), lower.tolist(), [e + p_max for e in lower.tolist()])
+    return mark, y.tolist(), draw(st.lists(st.booleans(), min_size=size, max_size=size)), a
+
+
+@given(priced_staircases())
+def test_staircase_prices_out_is_the_dense_rule(data):
+    # The O(m) test of a repair's dropped columns against c_j - y.A_j over
+    # the dense matrix, the rule a problem without the mark is held to.
+    mark, y, dropped, a = data
+    reduced = np.array(mark[0]) - np.array(y) @ a
+    expected = all(cost <= lp_module.FEASIBILITY_TOL for cost, drop in zip(reduced, dropped)
+                   if drop)
+    event(f"prices out: {expected}")
+    assert lp_module._staircase_prices_out(*mark, y, dropped) == expected
+
+
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 

@@ -22,7 +22,7 @@ from wpcn_sched import (
 from wpcn_sched import lp, stm
 from wpcn_sched.lp import LpSolution, LpStatus
 from wpcn_sched.model import layout, shortfalls
-from wpcn_sched.stm import LpFailure, lp_coefficients, throughput_lp
+from wpcn_sched.stm import lp_coefficients, throughput_lp
 
 from helpers import (assert_validate_replay, count_model_calls, exact_vertex_max, random_instance,
                      record_shortfalls)
@@ -207,10 +207,10 @@ class TestFixedOrder:
 
     def test_lp_failure_is_surfaced(self, monkeypatch):
         instance = random_instance(seed=2, n_users=2)
-        from wpcn_sched import stm as stm_module
-        monkeypatch.setattr(stm_module.lp, "solve",
+        monkeypatch.setattr(stm.lp, "solve",
                             lambda problem: LpSolution(status=LpStatus.UNBOUNDED))
-        with pytest.raises(LpFailure):
+        with pytest.raises(lp.NumericalBreakdown,
+                           match="^time-allocation LP came back unbounded$"):
             fixed_order_stm(instance, [1, 2])
 
 
@@ -334,6 +334,27 @@ class TestBruteForce:
         solver(ULP_SHORT)
         assert [len(short) for _, short in replayed] == [1, 0]   # the deficit, then none
         assert_validate_replay(ULP_SHORT, *replayed[0])
+
+    @pytest.mark.parametrize("grant_order", [False, True])
+    def test_a_slot_cut_to_zero_leaves_the_pairs(self, grant_order, monkeypatch):
+        # No real deficit is larger than its slot (an ulp short costs an ulp
+        # of time), so one is patched in for user 2, once.
+        instance = random_instance(seed=1, n_users=3, battery_max=0.02)
+        vertex = fixed_order_stm(instance, [1, 2, 3])
+        (_, tau1), (_, tau2), (_, tau3) = vertex.pairs
+        deficits = [{2: -2.0 * instance.params.p_max * tau2}]
+        monkeypatch.setattr(stm, "shortfalls", lambda instance, schedule: (
+            deficits.pop() if deficits else shortfalls(instance, schedule)))
+        solution = stm._replayed(instance, vertex.tau0, vertex.pairs, grant_order)
+        assert deficits == []
+        assert solution.pairs == ((1, tau1), (3, tau3))
+        assert solution.tau0 == vertex.tau0 + tau2
+        assert solution.schedule == layout(solution.tau0, solution.pairs)
+        terms = [tau * instance.rates[i - 1] for i, tau in solution.pairs]
+        throughput = 0.0
+        for term in reversed(terms) if grant_order else terms:
+            throughput += term
+        assert solution.throughput == throughput
 
     def test_single_user_equals_fixed_order(self):
         instance = single_user_instance(p_max=0.2, harvest=0.1, battery=0.0)
